@@ -48,7 +48,7 @@ from serving_load import (  # noqa: E402
     run_frontend_open_loop,
     run_frontend_trace_identity,
     run_serving_load,
-    run_warm_start_comparison,
+    run_worker_warm_start,
 )
 from tenant_churn import run_registry_trace_identity, run_tenant_churn_soak  # noqa: E402
 from tenant_fairness import run_two_tenant_starvation  # noqa: E402
@@ -125,9 +125,11 @@ def _stream_metrics() -> dict:
 
 
 def _serving_metrics() -> dict:
-    """Sharded serving throughput: 1-worker baseline and 4-worker scaling.
+    """Pooled registry serving throughput: 1-worker baseline and 4-worker scaling.
 
-    The load is identical for every configuration (tiled 512-query blocks),
+    A one-tenant registry serves full-refinement rounds query-sharded across
+    its worker pool.  The load is identical for every configuration (tiled
+    512-query blocks),
     so the 4-vs-1 worker ratio is a pure same-machine scaling number.  On
     hosts with fewer than 4 cores the ratio is physically meaningless; it is
     still reported, but the regression gate skips it there (``min_cores``).
@@ -150,7 +152,7 @@ def _serving_metrics() -> dict:
 def _frontend_metrics() -> dict:
     """Async front-end: trace identity, closed-loop throughput, adaptive depth.
 
-    Runs on the ``workers=0`` in-process engine so every number is meaningful
+    Runs on a ``workers=0`` one-tenant registry so every number is meaningful
     on single-core runners.  The adaptive ratio divides the mean node budget
     granted under light open-loop load (40 req/s) by the mean under burst
     load (4000 req/s) on the *same machine* — the paper's anytime tradeoff as
@@ -181,15 +183,15 @@ def _frontend_metrics() -> dict:
 
 
 def _flat_metrics() -> dict:
-    """Flat-forest encoding: descent speedup, trace identity, warm-start/RSS.
+    """Flat-forest encoding: descent speedup, trace identity, worker warm start.
 
     The descent comparison runs entirely in-process (``workers=0``-style), so
-    its numbers are meaningful on any core count.  The warm-start comparison
-    spins up two 4-worker engines — zero-copy shared memory vs per-worker
-    object loading — and compares per-worker attach latency and private RSS;
-    raw warm-start milliseconds are host-dependent, so the regression gate
-    applies the ``min_cores`` rule to them while the in-process speedup and
-    the deterministic trace identity gate everywhere.
+    its numbers are meaningful on any core count.  The warm-start run times a
+    registry pool worker's first attach of a tenant spec (segment attach plus
+    zero-copy wrapper build) in four fresh processes; raw warm-start
+    milliseconds are host-dependent, so the regression gate applies the
+    ``min_cores`` rule to them while the in-process speedup and the
+    deterministic trace identity gate everywhere.
     """
     with tempfile.TemporaryDirectory() as tmpdir:
         snapshot = Path(tmpdir) / "forest.npz"
@@ -199,7 +201,7 @@ def _flat_metrics() -> dict:
         descent = run_flat_descent_comparison(
             snapshot, queries[:128], max_nodes=20, repeats=3
         )
-        warm_start = run_warm_start_comparison(snapshot, queries, workers=4)
+        warm_start = run_worker_warm_start(snapshot, workers=4)
     return {"descent": descent, "warm_start": warm_start}
 
 
@@ -321,22 +323,22 @@ def collect() -> dict:
         "serving_throughput_1w_norm": {
             "value": serving["qps_1w"] * calibration,
             "direction": "higher",
-            "note": "1-worker sharded serving queries/s x calibration seconds (machine-normalised)",
+            "note": "1-worker registry serving queries/s x calibration seconds (machine-normalised)",
         },
         "serving_speedup_4w_vs_1w": {
             "value": serving["speedup_4w"],
             "direction": "higher",
-            "note": "4-worker vs 1-worker serving throughput (same machine; needs >=4 cores)",
+            "note": "4-worker vs 1-worker registry serving throughput (same machine; needs >=4 cores)",
         },
         "frontend_trace_identical": {
             "value": 1.0 if frontend["trace_identical"] else 0.0,
             "direction": "higher",
-            "note": "async front-end fixed-budget predictions == engine == lockstep trace (deterministic)",
+            "note": "async front-end fixed-budget predictions == registry == lockstep trace (deterministic)",
         },
         "frontend_throughput_norm": {
             "value": frontend["qps"] * calibration,
             "direction": "higher",
-            "note": "closed-loop async front-end queries/s x calibration seconds (machine-normalised)",
+            "note": "closed-loop async front-end over a one-tenant registry, queries/s x calibration seconds (machine-normalised)",
         },
         "frontend_adaptive_budget_ratio": {
             "value": frontend["mean_budget_slow"] / frontend["mean_budget_burst"],
@@ -422,9 +424,9 @@ def collect() -> dict:
             "note": "forest prequential accuracy under adversarial burst budgets (deterministic)",
         },
         "worker_warm_start_ms": {
-            "value": flat["warm_start"]["zero_copy"]["warm_start_ms_mean"],
+            "value": flat["warm_start"]["warm_start_ms_mean"],
             "direction": "lower",
-            "note": "mean zero-copy worker warm-start (shm attach + wrapper build), ms; host-dependent so gated to >=4 cores",
+            "note": "mean registry pool worker first attach of a tenant spec (shm attach + FlatForest.from_columns), ms; host-dependent so gated to >=4 cores",
         },
     }
     return {
@@ -434,14 +436,13 @@ def collect() -> dict:
         "python": platform.python_version(),
         "metrics": metrics,
         # Full front-end detail for the PR 5 acceptance record: the fixed-
-        # budget trace hash shared by the front-end / engine / lockstep
+        # budget trace hash shared by the front-end / registry / lockstep
         # driver, and the adaptive-budget depth + accuracy/latency at both
         # arrival rates (deeper refinement when the stream is light).
         "frontend": frontend,
         # Full flat-forest detail for the PR 6 acceptance record: the
-        # trace-identity hash and descent timings, plus the 4-worker
-        # zero-copy vs object-loading comparison (per-worker warm-start
-        # latency and shared/private RSS split from /proc).
+        # trace-identity hash and descent timings, plus the registry pool
+        # workers' first-attach warm-start samples.
         "flat": flat,
         # Multi-tenant registry detail for the PR 9 acceptance record: the
         # full churn-soak report (bounded-memory and no-leak verdicts, cold

@@ -1,7 +1,7 @@
 """Serving load generator shared by the throughput benches and collect_bench.
 
-Builds a snapshotted forest once, then replays load against
-:class:`repro.serving.ServingEngine` — directly (worker-count scaling) or
+Builds a snapshotted forest once, then replays load against a one-tenant
+:class:`repro.serving.ModelRegistry` — directly (worker-count scaling) or
 through the :mod:`repro.serving.frontend` asyncio layer (closed-loop waves,
 open-loop arrival replay with adaptive budgets) — measuring queries/second
 and latency percentiles.  Timing follows the repo's benchmark conventions
@@ -16,6 +16,7 @@ import asyncio
 import os
 import sys
 import time
+from concurrent.futures import ProcessPoolExecutor
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -28,6 +29,7 @@ import numpy as np
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
 
 from repro.core import AnytimeBayesClassifier  # noqa: E402
+from repro.core.flat import FlatForest  # noqa: E402
 from repro.data import make_dataset  # noqa: E402
 from repro.evaluation import RequestTrace, classification_trace_hash, latency_percentiles  # noqa: E402
 from repro.evaluation.experiment import DEFAULT_EXPERIMENT_CONFIG  # noqa: E402
@@ -36,10 +38,22 @@ from repro.serving import (  # noqa: E402
     ADAPTIVE,
     AdaptiveBudgetPolicy,
     AsyncServingClient,
-    ServingEngine,
+    ModelRegistry,
+    attach_columns,
     drive_open_loop,
 )
+from repro.serving.shared_mem import release_attachment  # noqa: E402
 from repro.stream import DataStream, PoissonArrival  # noqa: E402
+
+#: The tenant name of the single-model deployments measured here.
+TENANT = "default"
+
+
+def open_single_model(snapshot_path: "str | Path", workers: int = 0) -> ModelRegistry:
+    """A single-model deployment: a one-tenant registry serving ``TENANT``."""
+    registry = ModelRegistry(capacity=1, workers=workers)
+    registry.load(TENANT, snapshot_path)
+    return registry
 
 
 def build_serving_snapshot(
@@ -84,26 +98,25 @@ def run_serving_load(
     warmup: int = 2,
     node_budget: Optional[int] = None,
 ) -> Dict[str, float]:
-    """Measure one engine configuration under a fixed replayed load.
+    """Measure one registry configuration under a fixed replayed load.
 
     Returns queries/second over the measured batches plus per-batch latency
     percentiles (milliseconds).  Warm-up rounds run first so worker start-up
-    and snapshot restore never pollute the measurement — the engine warm-loads
-    snapshots at spin-up, warm-up only stabilises caches.
+    and the workers' first segment attach never pollute the measurement.
     """
-    with ServingEngine(snapshot_path, workers=workers) as engine:
+    with open_single_model(snapshot_path, workers=workers) as registry:
         for _ in range(warmup):
-            engine.predict_batch(queries, node_budget=node_budget)
+            registry.predict_batch(TENANT, queries, node_budget=node_budget)
         samples: List[float] = []
         start = time.perf_counter()
         for _ in range(batches):
             tick = time.perf_counter()
-            engine.predict_batch(queries, node_budget=node_budget)
+            registry.predict_batch(TENANT, queries, node_budget=node_budget)
             samples.append(time.perf_counter() - tick)
         total = time.perf_counter() - start
         percentiles = latency_percentiles(samples, percentiles=(50.0, 99.0))
         return {
-            "workers": float(engine.n_shards if engine.is_multiprocess else 0),
+            "workers": float(registry.stats_snapshot()["workers"]),
             "qps": batches * queries.shape[0] / total,
             "p50_ms": percentiles["p50"],
             "p99_ms": percentiles["p99"],
@@ -125,13 +138,16 @@ def run_frontend_closed_loop(
     waits for all results before the next wave starts (closed loop — the
     generator never outruns the server).  Returns queries/second plus
     per-wave latency percentiles, directly comparable to
-    :func:`run_serving_load`'s direct-engine numbers: the difference is the
+    :func:`run_serving_load`'s direct-registry numbers: the difference is the
     front-end's coalescing/dispatch overhead.
     """
 
     async def main() -> Dict[str, float]:
-        with ServingEngine(snapshot_path, workers=workers, linger_s=0.001) as engine:
-            async with AsyncServingClient(engine, max_pending=4 * queries.shape[0]) as client:
+        with open_single_model(snapshot_path, workers=workers) as registry:
+            client = AsyncServingClient(
+                registry, linger_s=0.001, max_pending=4 * queries.shape[0]
+            )
+            async with client:
                 for _ in range(warmup):
                     await client.classify_batch(queries, node_budget=node_budget)
                 samples: List[float] = []
@@ -173,9 +189,10 @@ def run_frontend_open_loop(
     """
 
     async def main() -> Dict[str, object]:
-        with ServingEngine(snapshot_path, workers=workers, linger_s=0.001) as engine:
+        with open_single_model(snapshot_path, workers=workers) as registry:
             client = AsyncServingClient(
-                engine,
+                registry,
+                linger_s=0.001,
                 max_pending=max(64, limit),
                 budget_policy=policy or AdaptiveBudgetPolicy(),
             )
@@ -205,19 +222,19 @@ def run_frontend_trace_identity(
     """Pin the fixed-budget trace identity of the async front-end.
 
     Serves ``queries`` at a fixed per-query budget three ways — through the
-    async front-end, via ``ServingEngine.predict_batch`` directly, and with
+    async front-end, via ``ModelRegistry.predict_batch`` directly, and with
     the in-process lockstep driver whose full refinement trace feeds
     ``classification_trace_hash`` — and reports whether all three agree plus
-    the trace hash itself (the engine's budgeted path *is* the lockstep
+    the trace hash itself (the registry's budgeted path *is* the lockstep
     driver, so agreement means the front-end's predictions carry exactly the
     hashed trace).
     """
 
     async def frontend_predictions() -> "Tuple[List[object], List[object]]":
-        with ServingEngine(snapshot_path, workers=0, linger_s=0.001) as engine:
-            async with AsyncServingClient(engine) as client:
+        with open_single_model(snapshot_path) as registry:
+            async with AsyncServingClient(registry, linger_s=0.001) as client:
                 via_frontend = await client.classify_batch(queries, node_budget=node_budget)
-                direct = engine.predict_batch(queries, node_budget=node_budget)
+                direct = registry.predict_batch(TENANT, queries, node_budget=node_budget)
                 return via_frontend, direct
 
     via_frontend, direct = asyncio.run(frontend_predictions())
@@ -280,45 +297,46 @@ def run_flat_descent_comparison(
     }
 
 
-def run_warm_start_comparison(
-    snapshot_path: "str | Path", queries: np.ndarray, workers: int = 4
-) -> Dict[str, object]:
-    """Zero-copy shared-memory workers vs per-worker snapshot loading.
+def _first_attach_ms(spec: Dict[str, Any]) -> float:
+    """One pool worker's first attach of a tenant spec, in milliseconds.
 
-    Spins the same snapshot up twice with ``workers`` shard processes —
-    ``zero_copy=True`` (one shared segment, workers attach) and
-    ``zero_copy=False`` (every worker restores the object graph) — serves a
-    probe batch on each, and compares the measured per-worker warm-start
-    latency and the private (non-shared) RSS reported by ``/proc``.  Both
-    ratios are same-machine comparisons; the private-RSS ratio is the
-    O(1)-memory-in-workers claim made measurable.
+    The registry worker's cold path: attach the shared segment and wrap the
+    zero-copy :class:`FlatForest` around its columns.
     """
-    results: Dict[str, object] = {"workers": int(workers)}
-    for key, zero_copy in (("zero_copy", True), ("object", False)):
-        with ServingEngine(snapshot_path, workers=workers, zero_copy=zero_copy) as engine:
-            engine.predict_batch(queries[:32])
-            profiles = engine.worker_profiles()
-            warm = [p["warm_start_ms"] for p in profiles if p["warm_start_ms"]]
-            private = [p["private_kb"] for p in profiles if p["private_kb"]]
-            shared = [p["shared_kb"] for p in profiles if p["shared_kb"]]
-            stats = engine.stats_snapshot()
-            results[key] = {
-                "n_workers": len(profiles),
-                "warm_start_ms_mean": float(np.mean(warm)) if warm else 0.0,
-                "warm_start_ms_max": float(np.max(warm)) if warm else 0.0,
-                "private_kb_mean": float(np.mean(private)) if private else 0.0,
-                "shared_kb_mean": float(np.mean(shared)) if shared else 0.0,
-                "shm_bytes": stats["shm_bytes"],
-            }
-    flat, obj = results["zero_copy"], results["object"]
-    results["warm_start_speedup"] = (
-        obj["warm_start_ms_mean"] / flat["warm_start_ms_mean"]
-        if flat["warm_start_ms_mean"]
-        else float("inf")
+    start = time.perf_counter()
+    shm, columns = attach_columns(spec["shm_name"], spec["layout"])
+    forest = FlatForest.from_columns(
+        columns,
+        labels=spec["labels"],
+        descent=spec["descent"],
+        qbk_k=spec["qbk_k"],
+        dimension=spec["dimension"],
     )
-    results["private_rss_ratio"] = (
-        obj["private_kb_mean"] / flat["private_kb_mean"]
-        if flat["private_kb_mean"]
-        else float("inf")
-    )
-    return results
+    elapsed_ms = (time.perf_counter() - start) * 1e3
+    del forest, columns
+    release_attachment(shm)
+    return elapsed_ms
+
+
+def run_worker_warm_start(snapshot_path: "str | Path", workers: int = 4) -> Dict[str, object]:
+    """Warm-start latency of registry pool workers attaching a tenant.
+
+    Loads the snapshot as a tenant (the registry builds its shared segment
+    and worker spec), then times the first attach of that spec in
+    ``workers`` fresh processes, one process per sample.  Warm start is
+    attach-only — no snapshot I/O happens in the worker — so it stays in
+    the milliseconds whatever the forest size.
+    """
+    with open_single_model(snapshot_path) as registry:
+        spec = registry._entries[TENANT].spec  # the spec pool workers receive
+        samples: List[float] = []
+        for _ in range(workers):
+            with ProcessPoolExecutor(max_workers=1) as pool:
+                samples.extend(pool.map(_first_attach_ms, [spec]))
+        shm_bytes = registry.stats_snapshot()["resident_bytes"]
+    return {
+        "workers": int(workers),
+        "warm_start_ms_mean": float(np.mean(samples)),
+        "warm_start_ms_max": float(np.max(samples)),
+        "shm_bytes": shm_bytes,
+    }

@@ -3,18 +3,18 @@
 Three claims are pinned (ISSUE 5 acceptance):
 
 * **Trace identity.**  At a fixed per-query budget the async front-end's
-  predictions equal ``ServingEngine.predict_batch`` and carry exactly the
+  predictions equal ``ModelRegistry.predict_batch`` and carry exactly the
   refinement trace hashed by ``classification_trace_hash`` — micro-batching
   must not change a single prediction.
 * **Closed-loop overhead.**  Waves of ``classify_batch`` through the
   event-loop micro-batcher sustain a throughput comparable to the direct
-  engine call (the front-end adds coalescing, not a second serving path);
+  registry call (the front-end adds coalescing, not a second serving path);
   p50/p99 per-wave latencies are printed for the log.
 * **Adaptive budgets realise the anytime curve as a serving policy.**  The
   same open-loop Poisson replay at a low arrival rate earns a strictly
   deeper mean refinement (granted node budget) than under burst load.
 
-Everything runs on the ``workers=0`` in-process engine so the numbers are
+Everything runs on a ``workers=0`` one-tenant registry so the numbers are
 about the front-end, not about multiprocess scaling (that is
 ``test_serving_throughput.py``), and stay meaningful on single-core hosts.
 """
@@ -38,7 +38,7 @@ from conftest import print_heading, run_once
 SLOW_SPEED = 40.0
 BURST_SPEED = 4000.0
 
-#: Closed-loop front-end throughput floor relative to the direct engine call.
+#: Closed-loop front-end throughput floor relative to the direct registry call.
 #: The micro-batcher adds event-loop scheduling and a thread handoff per
 #: round; it must never cost an order of magnitude.
 MIN_RELATIVE_THROUGHPUT = 0.25
@@ -57,7 +57,7 @@ def test_frontend_fixed_budget_is_trace_identical(snapshot):
     print_heading("async front-end fixed-budget trace identity")
     print(f"queries: {report['queries']}  budget: {report['node_budget']}")
     print(f"classification_trace_hash: {report['trace_hash']}")
-    print(f"identical across frontend / engine / lockstep driver: {report['identical']}")
+    print(f"identical across frontend / registry / lockstep driver: {report['identical']}")
     assert report["identical"], "async front-end changed fixed-budget predictions"
 
 
@@ -71,7 +71,7 @@ def test_frontend_closed_loop_throughput(snapshot, benchmark):
 
     direct, frontend = run_once(benchmark, measure)
 
-    print_heading("closed-loop async front-end vs direct engine (256-query waves)")
+    print_heading("closed-loop async front-end vs direct registry (256-query waves)")
     print(f"{'path':>10s} {'qps':>10s} {'p50 ms':>9s} {'p99 ms':>9s}")
     print(
         f"{'direct':>10s} {direct['qps']:10.0f} {direct['p50_ms']:9.2f} {direct['p99_ms']:9.2f}"
@@ -84,7 +84,7 @@ def test_frontend_closed_loop_throughput(snapshot, benchmark):
     print(f"\nfront-end relative throughput: {relative:.2f}x (floor {MIN_RELATIVE_THROUGHPUT}x)")
     assert frontend["qps"] > 0 and frontend["p99_ms"] >= frontend["p50_ms"] > 0
     assert relative > MIN_RELATIVE_THROUGHPUT, (
-        f"async front-end throughput collapsed to {relative:.2f}x of the direct engine call"
+        f"async front-end throughput collapsed to {relative:.2f}x of the direct registry call"
     )
 
 

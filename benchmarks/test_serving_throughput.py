@@ -1,9 +1,10 @@
-"""Serving engine benchmark: sharded throughput and latency vs worker count.
+"""Serving benchmark: query-sharded throughput and latency vs worker count.
 
-Prints a queries/sec + p50/p99 latency table for the synchronous fallback,
-one worker and (cores permitting) four workers, and pins the correctness
-contract: the engine's predictions — sharded or not, budgeted or not — are
-bit-identical to the in-process classifier on the restored snapshot.
+Prints a queries/sec + p50/p99 latency table for a one-tenant
+:class:`~repro.serving.ModelRegistry` served in-process, by one worker and
+(cores permitting) by four workers, and pins the correctness contract: the
+registry's predictions — pooled or not, budgeted or not — are bit-identical
+to the in-process classifier on the restored snapshot.
 
 The *scaling* assertion (>1.8x at 4 workers, the ISSUE 4 acceptance bar) only
 runs on machines with at least four usable cores; single-core CI containers
@@ -20,11 +21,11 @@ import numpy as np
 import pytest
 
 from repro.persist import load_forest
-from serving_load import build_serving_snapshot, run_serving_load
+from serving_load import TENANT, build_serving_snapshot, open_single_model, run_serving_load
 
 from conftest import print_heading, run_once
 
-#: Worker counts probed by the sweep (0 = synchronous in-process fallback).
+#: Worker counts probed by the sweep (0 = in-process serving).
 SWEEP_WORKERS = (0, 1, 4)
 
 #: Minimum 4-worker over 1-worker throughput ratio asserted on >=4-core hosts.
@@ -46,11 +47,11 @@ def test_engine_serves_bit_identical_predictions(snapshot):
     for workers in (0, 2):
         measured = run_serving_load(path, workers, queries[:64], batches=1, warmup=0)
         assert measured["qps"] > 0
-        from repro.serving import ServingEngine
-
-        with ServingEngine(path, workers=workers) as engine:
-            assert engine.predict_batch(queries) == expected_full
-            assert engine.predict_batch(queries[:64], node_budget=15) == expected_budgeted
+        with open_single_model(path, workers=workers) as registry:
+            assert registry.predict_batch(TENANT, queries) == expected_full
+            assert (
+                registry.predict_batch(TENANT, queries[:64], node_budget=15) == expected_budgeted
+            )
 
 
 def test_serving_throughput_scaling(snapshot, benchmark):
@@ -82,7 +83,7 @@ def test_serving_throughput_scaling(snapshot, benchmark):
         speedup = results[4]["qps"] / results[1]["qps"]
         print(f"\n4-worker vs 1-worker speedup: {speedup:.2f}x (floor {MIN_SPEEDUP_4W}x)")
         assert speedup > MIN_SPEEDUP_4W, (
-            f"sharded serving scaled only {speedup:.2f}x at 4 workers "
+            f"pooled serving scaled only {speedup:.2f}x at 4 workers "
             f"(expected > {MIN_SPEEDUP_4W}x on a {cores}-core host)"
         )
 
@@ -98,7 +99,5 @@ def test_budgeted_serving_reuses_lockstep_driver(snapshot):
             queries[:64], max_nodes=budgets, record_history=False
         )
     ]
-    from repro.serving import ServingEngine
-
-    with ServingEngine(path, workers=2) as engine:
-        assert engine.predict_batch(queries[:64], node_budget=budgets) == expected
+    with open_single_model(path, workers=2) as registry:
+        assert registry.predict_batch(TENANT, queries[:64], node_budget=budgets) == expected

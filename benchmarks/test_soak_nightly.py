@@ -18,7 +18,7 @@ import pytest
 from repro.core import AnytimeBayesClassifier, BayesTreeConfig
 from repro.data import make_dataset, make_drift_stream
 from repro.persist import load_forest, save_forest
-from repro.serving import ServingEngine
+from repro.serving import ModelRegistry
 from repro.stream import DataStream, run_anytime_stream
 
 pytestmark = pytest.mark.skipif(
@@ -64,12 +64,12 @@ def test_long_drift_stream_stays_accurate_and_bounded():
 
 
 def test_sustained_serving_with_periodic_hot_swaps(tmp_path):
-    """Hours-compressed serving soak: thousands of rounds, repeated swaps."""
+    """Hours-compressed serving soak: thousands of rounds, repeated load swaps."""
     dataset = make_dataset("pendigits", size=3000, random_state=0)
     classifier = AnytimeBayesClassifier(config=SOAK_CONFIG)
     for i in range(1500):
         classifier.partial_fit(dataset.features[i], dataset.labels[i], timestamp=float(i) * 0.05)
-    snapshot = tmp_path / "soak.npz"
+    snapshot = tmp_path / "soak-0.npz"
     save_forest(classifier, snapshot)
     # Serving load straight from the stream layer: the held-out tail replayed
     # as stream-ordered 256-query blocks (the serving front-end's view).
@@ -83,21 +83,26 @@ def test_sustained_serving_with_periodic_hot_swaps(tmp_path):
     swap_every = 100
     trained_until = 1500
     workers = min(4, os.cpu_count() or 1)
-    with ServingEngine(snapshot, workers=workers) as engine:
+    with ModelRegistry(capacity=1, workers=workers) as registry:
+        registry.load("default", snapshot)
         for round_index in range(rounds):
-            engine.predict_batch(blocks[round_index % len(blocks)])
+            registry.predict_batch("default", blocks[round_index % len(blocks)])
             if (round_index + 1) % swap_every == 0:
                 # Background training between swaps, then roll the new model
-                # out without dropping a request.
+                # out without dropping a request.  Each rollout is a new file:
+                # loading the resident path again is an idempotent no-op.
                 for i in range(trained_until, min(trained_until + 50, 3000)):
                     classifier.partial_fit(
                         dataset.features[i], dataset.labels[i], timestamp=75.0 + float(i) * 0.05
                     )
                 trained_until = min(trained_until + 50, 3000)
+                snapshot = tmp_path / f"soak-{round_index + 1}.npz"
                 save_forest(classifier, snapshot)
-                engine.swap_snapshot(snapshot)
-        assert engine.stats.batches >= rounds
-        assert engine.stats.swaps == rounds // swap_every
-        # After the last swap the engine must agree with an in-process
+                registry.load("default", snapshot)
+        assert registry.stats.batches >= rounds
+        assert registry.stats.swaps == rounds // swap_every
+        # After the last swap the registry must agree with an in-process
         # restore of the same snapshot, bit for bit.
-        assert engine.predict_batch(queries) == load_forest(snapshot).predict_batch(queries)
+        assert registry.predict_batch("default", queries) == load_forest(
+            snapshot
+        ).predict_batch(queries)

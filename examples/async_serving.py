@@ -1,9 +1,9 @@
 """Async serving front-end: HTTP shim, adaptive budgets, two arrival rates.
 
-Demonstrates the ISSUE 5 request layer end to end:
+Demonstrates the request layer end to end:
 
-1. train a forest, snapshot it and serve it from a
-   :class:`repro.serving.ServingEngine`,
+1. train a forest, snapshot it and serve it from a one-tenant
+   :class:`repro.serving.ModelRegistry` (a single-model deployment),
 2. put the asyncio front-end on top — an :class:`AsyncServingClient`
    (event-loop micro-batcher with backpressure and deadlines) plus the
    stdlib :class:`HttpFrontend` speaking JSON over ``/classify``,
@@ -24,7 +24,7 @@ from pathlib import Path
 
 from repro import AnytimeBayesClassifier, make_dataset, save_forest
 from repro.evaluation import RequestTrace
-from repro.serving import ADAPTIVE, AsyncServingClient, HttpFrontend, ServingEngine, drive_open_loop
+from repro.serving import ADAPTIVE, AsyncServingClient, HttpFrontend, ModelRegistry, drive_open_loop
 from repro.stream import DataStream, PoissonArrival
 
 #: Open-loop arrival rates (requests/second) driven against the front-end.
@@ -67,8 +67,9 @@ async def main() -> None:
     tail = dataset.tail(train_until)
     print(f"snapshot: {classifier.n_classes} classes, serving the {len(tail.labels)}-object tail")
 
-    with ServingEngine(snapshot, workers=0, linger_s=0.001) as engine:
-        async with AsyncServingClient(engine, max_pending=512) as client:
+    with ModelRegistry(capacity=1) as registry:
+        registry.load("default", snapshot)
+        async with AsyncServingClient(registry, linger_s=0.001, max_pending=512) as client:
             # 2. The HTTP shim — external load generators would hit this.
             async with HttpFrontend(client) as http:
                 host, port = http.address
@@ -93,7 +94,7 @@ async def main() -> None:
                 "\nearns deep node budgets, the burst degrades gracefully to shallow ones"
             )
             print(f"\nfront-end stats: {client.stats_snapshot()}")
-        print(f"engine stats: {engine.stats_snapshot()}")
+        print(f"registry stats: {registry.stats_snapshot()}")
 
 
 if __name__ == "__main__":

@@ -1,13 +1,14 @@
-"""Snapshots + sharded serving: persist a forest, serve it, hot-swap it.
+"""Snapshots + pooled serving: persist a forest, serve it, hot-swap it.
 
-Demonstrates the production serving loop built in ISSUE 4:
+Demonstrates the production serving loop:
 
 1. train an adaptive (decaying) Bayes forest on a stream prefix,
 2. ``save_forest`` it into a portable, pickle-free snapshot,
-3. serve queries from a :class:`repro.serving.ServingEngine` — the per-class
-   trees are sharded across worker processes, predictions are bit-identical
-   to the in-process classifier,
-4. keep training in the background, snapshot again and hot-swap the engine
+3. serve queries from a one-tenant :class:`repro.serving.ModelRegistry` —
+   worker processes attach the forest zero-copy from shared memory and
+   split each round by query; predictions are bit-identical to the
+   in-process classifier,
+4. keep training in the background, snapshot again and hot-swap the model
    without dropping a request.
 
 Run with:  python examples/snapshot_serving.py
@@ -20,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from repro import AnytimeBayesClassifier, BayesTreeConfig, load_forest, save_forest
-from repro.serving import ServingEngine
+from repro.serving import ModelRegistry
 
 
 def main() -> None:
@@ -47,17 +48,20 @@ def main() -> None:
     assert restored.predict_batch(queries) == classifier.predict_batch(queries)
     print("restored forest agrees with the live one on every prediction")
 
-    # 3. Serve the snapshot from sharded worker processes.
-    with ServingEngine(snapshot, workers=2) as engine:
+    # 3. Serve the snapshot from a worker pool: a single-model deployment is
+    #    a one-tenant registry.
+    with ModelRegistry(capacity=1, workers=2) as registry:
+        registry.load("default", snapshot)
         start = time.perf_counter()
-        served = engine.predict_batch(queries)
+        served = registry.predict_batch("default", queries)
         seconds = time.perf_counter() - start
         assert served == restored.predict_batch(queries)
-        mode = "sharded workers" if engine.is_multiprocess else "synchronous fallback"
+        workers = registry.stats_snapshot()["workers"]
+        mode = f"{workers} pool workers" if workers else "in-process serving"
         print(f"served {len(served)} queries in {seconds * 1e3:.1f} ms via {mode}")
 
-        # Budgeted anytime requests ride the same engine (query-sharded).
-        anytime = engine.predict_batch(queries[:32], node_budget=10)
+        # Budgeted anytime requests ride the same pool.
+        anytime = registry.predict_batch("default", queries[:32], node_budget=10)
         print(f"anytime (10-node budget) predictions for 32 queries: {anytime[:8]} ...")
 
         # 4. Background training + graceful hot swap.
@@ -67,15 +71,15 @@ def main() -> None:
             )
         snapshot_v2 = workdir / "forest-v2.npz"
         save_forest(classifier, snapshot_v2)
-        engine.swap_snapshot(snapshot_v2)
-        swapped = engine.predict_batch(queries)
+        registry.load("default", snapshot_v2)
+        swapped = registry.predict_batch("default", queries)
         assert swapped == load_forest(snapshot_v2).predict_batch(queries)
         changed = int(np.sum(np.array(swapped) != np.array(served)))
         print(
             f"hot-swapped to {snapshot_v2.name}: {changed} of {len(served)} "
             f"predictions changed after the extra training"
         )
-        print(f"engine stats: {engine.stats}")
+        print(f"registry stats: {registry.stats}")
 
 
 if __name__ == "__main__":

@@ -34,7 +34,6 @@ from .core import (
 )
 from .index import RStarTree, TreeParameters
 from .persist import SnapshotError, SnapshotVersionError, load_forest, save_forest
-from .serving import ServingEngine
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .data import Dataset
@@ -56,7 +55,6 @@ __all__ = [
     "SnapshotVersionError",
     "load_forest",
     "save_forest",
-    "ServingEngine",
     "make_dataset",
     "__version__",
 ]

@@ -622,15 +622,6 @@ class AnytimeBayesClassifier:
         """Unnormalised log posteriors ``log P(c) + log pdq_c(x)``."""
         return _posterior_of(frontiers, self.log_priors)
 
-    @staticmethod
-    def _argmax(posterior: Dict[Hashable, float]) -> Hashable:
-        # Deterministic tie breaking by label repr keeps experiments reproducible.
-        return _posterior_argmax(posterior)
-
-    @staticmethod
-    def _record(result: AnytimeClassification, log_posterior: Dict[Hashable, float]) -> None:
-        _record_step(result, log_posterior)
-
     def classify_anytime(
         self,
         query: Sequence[float] | np.ndarray,
@@ -653,37 +644,6 @@ class AnytimeBayesClassifier:
             np.asarray(query, dtype=float),
             max_nodes,
         )
-
-    def _choose_refinement(
-        self,
-        frontiers: Dict[Hashable, Frontier],
-        log_posterior: Dict[Hashable, float],
-        k: int,
-        rotation: _QbkRotation,
-    ) -> Optional[Hashable]:
-        """Pick the class whose frontier gets the next node read (qbk, §2.2)."""
-        return _choose_refinement(frontiers, log_posterior, k, rotation)
-
-    def _refine_one(
-        self,
-        frontiers: Dict[Hashable, Frontier],
-        log_posterior: Dict[Hashable, float],
-        k: int,
-        rotation: _QbkRotation,
-    ) -> Optional[Hashable]:
-        """Perform one node read following the qbk improvement strategy.
-
-        The k most probable classes (by the current log posterior) refine in
-        turns, with the rotation tracked explicitly by ``rotation``; classes
-        whose frontier is exhausted are skipped without disturbing the
-        rotation of the remaining ones.  Returns the refined class label, or
-        None when no tree can be refined any more.
-        """
-        label = self._choose_refinement(frontiers, log_posterior, k, rotation)
-        if label is None:
-            return None
-        frontiers[label].refine(self.descent)
-        return label
 
     # -- batch anytime classification --------------------------------------------------------------
     def classify_anytime_batch(
@@ -730,10 +690,6 @@ class AnytimeBayesClassifier:
             budgets,
             record_history,
         )
-
-    #: Shared with the module-level batch driver; kept addressable on the
-    #: class for white-box tests and subclass instrumentation.
-    _refine_group = staticmethod(_refine_group)
 
     # -- convenience prediction APIs -----------------------------------------------------------------
     def predict(self, query: Sequence[float] | np.ndarray, node_budget: Optional[int] = None) -> Hashable:

@@ -744,8 +744,9 @@ class FlatForest:
     the same module-level drivers, so predictions, per-step posteriors and
     node-read counts are bit-identical to the live forest it was compiled
     from.  Training APIs are deliberately absent: a flat forest is a
-    snapshot; to learn, mutate the live forest and recompile (the serving
-    engine does exactly that on hot swaps).
+    snapshot; to learn, mutate the live forest and recompile (the model
+    registry does exactly that when it swaps in a snapshot without flat
+    members).
     """
 
     def __init__(

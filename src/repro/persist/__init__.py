@@ -7,13 +7,13 @@ configuration — into a compact ``.npz``/JSON container; ``load_forest``
 restores a forest whose predictions, refinement traces and future training
 behaviour are bit-identical to the saved one.  No pickle is involved at any
 point, so snapshots can be exchanged between untrusting processes (the
-sharded serving engine in :mod:`repro.serving` is built on exactly that).
+model registry in :mod:`repro.serving` is built on exactly that).
 
 Snapshots additionally carry the compiled flat-forest columns
 (:class:`repro.core.flat.FlatForest`) as uncompressed, memory-mappable
 members: ``load_flat_forest`` opens the read-optimised twin of the same
 forest without rebuilding an object graph, and ``read_flat_columns`` exposes
-the raw columns for the serving engine to place in shared memory.
+the raw columns for the model registry to place in shared memory.
 
 Multi-tenant deployments additionally persist a *tenant manifest*
 (:mod:`repro.persist.tenants`): a small versioned JSON catalogue mapping

@@ -479,7 +479,7 @@ def load_flat_forest(path: "str | Path", mmap: bool = True) -> FlatForest:
     refinement traces hash-identical to :func:`load_forest` of the same
     snapshot, but its columns are (by default) memory-mapped views into the
     file rather than rebuilt object graphs — this is the milliseconds-order
-    warm-start path of the serving engine.  Raises
+    warm-start path of the model registry.  Raises
     :class:`SnapshotVersionError` / :class:`SnapshotError` like the other
     loaders, including for structurally inconsistent flat columns.
     """

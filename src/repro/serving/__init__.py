@@ -1,44 +1,40 @@
-"""Multi-process sharded serving of snapshotted Bayes forests.
+"""Zero-copy serving of snapshotted Bayes forests, for one tenant or many.
 
-:class:`ServingEngine` serves a :mod:`repro.persist` snapshot from a pool of
-worker processes and exposes batched classification with exactly the
-predictions of the in-process classifier.  By default the snapshot's flat
-forest columns (:mod:`repro.core.flat`) live in one POSIX shared-memory
-segment (:mod:`repro.serving.shared_mem`) that every shard worker attaches
-to zero-copy — warm-start in milliseconds and one physical forest copy
-regardless of worker count — with classes packed onto shards by an LPT
-greedy over per-class kernel counts (:func:`plan_shard_assignment`).  A
-micro-batching request scheduler, graceful snapshot hot-swap (segments are
-prepared outside the serving guard and unlinked only after every worker has
-re-attached) and a synchronous single-process fallback make it the compute
-building block for production-style traffic.
+:class:`ModelRegistry` is the one serving backend.  It serves
+:mod:`repro.persist` snapshots with exactly the predictions of the
+in-process classifier: each resident model's flat forest columns
+(:mod:`repro.core.flat`) live in one POSIX shared-memory segment
+(:mod:`repro.serving.shared_mem`) that every pool worker attaches to
+zero-copy, rounds are query-sharded across one shared worker pool
+(``workers=0`` serves in-process through the same code path), and snapshot
+swaps and evictions drain in-flight rounds before the old segment is
+unlinked.  A single-model deployment is a one-tenant registry::
+
+    registry = ModelRegistry(workers=2)
+    registry.load("default", "forest.npz")
+    labels = registry.predict_batch("default", queries, node_budget=16)
+
+For many models the registry keeps an LRU cache of per-tenant segments
+(bounded count and bytes, drain-before-unlink eviction), applies per-tenant
+:class:`TenantPolicy` budget clamps and falls back to a shared global prior
+for unknown tenants.
 
 On top of it, :mod:`repro.serving.frontend` adds the asyncio request layer:
 :class:`AsyncServingClient` coalesces concurrent ``await classify(...)``
-calls into engine rounds with bounded-queue backpressure, per-request
+calls into registry rounds with bounded-queue backpressure, per-request
 deadlines and load-adaptive node budgets (:data:`ADAPTIVE`), and
-:class:`HttpFrontend` exposes the whole stack over a minimal stdlib HTTP
-endpoint for external load generators — including ``/stats``, which reports
-the engine's worker warm-start latency, shared/private RSS split and forest
-structure health.
-
-Multi-tenant serving (:mod:`repro.serving.registry`) scales the same stack
-to many independent forests: :class:`ModelRegistry` keeps an LRU cache of
-per-tenant flat-snapshot segments (bounded count and bytes, drain-before-
-unlink eviction), applies per-tenant :class:`TenantPolicy` budget clamps,
-falls back to a shared global prior for unknown tenants, and plugs into
-:class:`AsyncServingClient` / :class:`HttpFrontend` via ``tenant=`` and the
-versioned ``/v1/tenants/{tenant}/...`` routes.  Admission across tenants is
-*fair* (:mod:`repro.serving.admission`): a deficit-round-robin scheduler
-over per-tenant queues, weighted by :class:`TenantPolicy.weight`, plus
-per-tenant ``max_queue_depth`` bounds and ``requests_per_sec`` token-bucket
-quotas (the enveloped HTTP 429).  Every request failure across the stack
-derives from :class:`ServingError` (:mod:`repro.serving.errors`), which
-carries the stable wire code the HTTP error envelope exposes.
+:class:`HttpFrontend` exposes the stack over a minimal stdlib HTTP endpoint —
+the versioned ``/v1/tenants/{tenant}/...`` routes, ``/v1/registry``,
+``/healthz`` and ``/stats``.  Admission across tenants is *fair*
+(:mod:`repro.serving.admission`): a deficit-round-robin scheduler over
+per-tenant queues, weighted by :class:`TenantPolicy.weight`, plus per-tenant
+``max_queue_depth`` bounds and ``requests_per_sec`` token-bucket quotas (the
+enveloped HTTP 429).  Every request failure across the stack derives from
+:class:`ServingError` (:mod:`repro.serving.errors`), which carries the
+stable wire code the HTTP error envelope exposes.
 """
 
 from .admission import DeficitRoundRobin, TenantQueueStats, TokenBucket
-from .engine import ServingEngine, ServingStats, plan_shard_assignment
 from .errors import (
     ERROR_CODES,
     DeadlineExceededError,
@@ -48,6 +44,7 @@ from .errors import (
     QuotaExceededError,
     RegistryCapacityError,
     RegistryClosedError,
+    RequestTimeoutError,
     ServingError,
     TenantNotFoundError,
     error_envelope,
@@ -66,9 +63,6 @@ from .registry import ModelRegistry, RegistryStats, TenantPolicy
 from .shared_mem import SharedColumnStore, attach_columns, memory_profile, segment_exists
 
 __all__ = [
-    "ServingEngine",
-    "ServingStats",
-    "plan_shard_assignment",
     "SharedColumnStore",
     "attach_columns",
     "memory_profile",
@@ -92,6 +86,7 @@ __all__ = [
     "QuotaExceededError",
     "RegistryCapacityError",
     "RegistryClosedError",
+    "RequestTimeoutError",
     "ServingError",
     "TenantNotFoundError",
     "error_envelope",

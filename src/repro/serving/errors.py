@@ -45,6 +45,7 @@ __all__ = [
     "QuotaExceededError",
     "RegistryCapacityError",
     "RegistryClosedError",
+    "RequestTimeoutError",
     "ServingError",
     "TenantNotFoundError",
     "error_envelope",
@@ -137,6 +138,17 @@ class RegistryCapacityError(ServingError):
     retry_after_ms = 250
 
 
+class RequestTimeoutError(ServingError):
+    """Raised when a client stalls mid-request past the read deadline (HTTP 408).
+
+    The HTTP shim answers it and then closes the connection: the request's
+    framing is incomplete, so nothing later on the socket can be trusted.
+    """
+
+    code = "request_timeout"
+    http_status = 408
+
+
 #: Every stable error code with the HTTP status it maps to — the documented
 #: v1 wire vocabulary (``docs/http_api.md``).  ``bad_snapshot``,
 #: ``bad_request``, ``not_found`` and ``internal`` have no dedicated
@@ -148,6 +160,7 @@ ERROR_CODES: Dict[str, int] = {
     "shutting_down": 503,
     "tenant_not_found": 404,
     "registry_full": 503,
+    "request_timeout": 408,
     "bad_snapshot": 400,
     "bad_request": 400,
     "not_found": 404,

@@ -1,15 +1,15 @@
-"""Asyncio request front-end for the serving engine.
+"""Asyncio request front-end over the model registry.
 
 The anytime premise of the paper is that a classifier should convert whatever
-time exists *between* request arrivals into refinement quality.  The sharded
-:class:`~repro.serving.engine.ServingEngine` realises the compute side of
-that; this module adds the missing traffic side — an asyncio-native request
-layer so real (network) arrivals feed the same scatter/gather rounds:
+time exists *between* request arrivals into refinement quality.  The
+:class:`~repro.serving.ModelRegistry` realises the compute side of that; this
+module adds the traffic side — an asyncio-native request layer so real
+(network) arrivals feed the registry's serving rounds:
 
 * :class:`AsyncServingClient` — ``await classify(x, deadline_ms=...)`` backed
   by an event-loop-side micro-batcher: bounded per-tenant queues coalesce
   concurrent requests (up to ``max_batch``, waiting at most ``linger_s``
-  after the first) into engine rounds executed off-loop in a worker thread.
+  after the first) into registry rounds executed off-loop in a worker thread.
   Rounds are assembled by a deficit-round-robin scheduler over the tenant
   queues (:mod:`repro.serving.admission`), so under contention each tenant's
   served share tracks its :class:`~repro.serving.TenantPolicy` weight
@@ -22,7 +22,7 @@ layer so real (network) arrivals feed the same scatter/gather rounds:
 * **Load-adaptive budgets** — :class:`ArrivalRateEstimator` keeps an EWMA of
   the observed inter-arrival gaps and :class:`AdaptiveBudgetPolicy` maps the
   estimated idle time per arrival to a per-round ``node_budget`` (calibrated
-  by the engine's measured cost per lockstep node read).  Light traffic gets
+  by the registry's measured cost per lockstep node read).  Light traffic gets
   deep refinement, bursts degrade gracefully to shallow reads — the paper's
   anytime curve realised as a serving policy.  Request it with
   ``node_budget=ADAPTIVE``.
@@ -30,29 +30,27 @@ layer so real (network) arrivals feed the same scatter/gather rounds:
   (:func:`asyncio.start_server`; no third-party dependency) speaking one JSON
   document per request/response on ``/classify``, ``/classify_batch``,
   ``/healthz``, ``/stats`` and ``/swap``, so external load generators can
-  drive the engine over a socket.  ``/stats`` merges the front-end counters
-  with ``ServingEngine.stats_snapshot()``, which now includes the zero-copy
-  deployment facts: shared-segment name and size, per-worker warm-start
-  (attach) latency, each worker's shared-vs-private RSS split and the forest
-  structure-health summary derived from the flat interval columns.
+  drive the registry over a socket.  ``/stats`` merges the front-end
+  counters with ``ModelRegistry.stats_snapshot()``; a tenant's forest
+  structure-health summary is on its own stats document.
 * :func:`drive_open_loop` — an open-loop load driver that replays a
   :class:`~repro.stream.DataStream` against a client at its arrival
   timestamps and returns per-request records for
   :class:`~repro.evaluation.RequestTrace` (optionally tenant-tagged).
 
-Since the v1 API redesign the front-end is **multi-tenant**: the client can
-route requests to a :class:`~repro.serving.ModelRegistry` (``tenant="acme"``)
-as well as to a single :class:`ServingEngine`, and the HTTP shim exposes the
-versioned ``/v1/tenants/{tenant}/...`` surface plus ``/v1/registry``.  The
-pre-v1 unversioned routes survive as thin aliases onto the ``default``
-tenant — same handlers, byte-identical payloads.  All endpoints share one
+The front-end is **multi-tenant**: every request routes to one tenant of the
+registry (``tenant="acme"``; a single-model deployment is a one-tenant
+registry), and the HTTP shim exposes the versioned
+``/v1/tenants/{tenant}/...`` surface plus ``/v1/registry``.  The unversioned
+routes survive as thin aliases onto the ``default`` tenant — same handlers,
+byte-identical payloads.  All endpoints share one
 structured error envelope (see :mod:`repro.serving.errors`)::
 
     {"error": {"code": "queue_full", "message": "...", "retry_after_ms": 50}}
 
 Fixed-budget and full-refinement requests are served by exactly the same
-engine entry point a direct caller would use, so their predictions are
-trace-identical to ``ServingEngine.predict_batch`` (pinned by
+registry entry point a direct caller would use, so their predictions are
+trace-identical to ``ModelRegistry.predict_batch`` (pinned by
 ``benchmarks/test_serving_frontend.py`` via ``classification_trace_hash``).
 """
 
@@ -69,7 +67,6 @@ from typing import (
     Dict,
     Hashable,
     List,
-    Mapping,
     Optional,
     Sequence,
     Tuple,
@@ -78,14 +75,13 @@ from typing import (
 import numpy as np
 
 from .admission import DeficitRoundRobin, TokenBucket
-from .engine import ServingEngine
 from .errors import (
     DeadlineExceededError,
     FrontendClosedError,
     FrontendError,
     QueueFullError,
     QuotaExceededError,
-    TenantNotFoundError,
+    RequestTimeoutError,
     error_envelope,
 )
 from .registry import ModelRegistry, TenantPolicy
@@ -189,7 +185,7 @@ class ArrivalRateEstimator:
     Each :meth:`observe` call updates ``mean_gap_s`` with the gap since the
     previous arrival: ``gap_ewma += alpha * (gap - gap_ewma)``.  The paper's
     "varying streams" motivation maps directly: the estimated gap is the time
-    the engine can expect to spend on the current request before the next one
+    the registry can expect to spend on the current request before the next one
     arrives, which the budget policy converts into node reads.
 
     Parameters
@@ -246,7 +242,7 @@ class AdaptiveBudgetPolicy:
     ``budget = clamp(utilisation * mean_gap_s / node_cost_s)`` — of the time
     expected until the next arrival, spend a ``utilisation`` fraction on
     lockstep node reads (the rest absorbs queueing, gather and estimator
-    error), at the engine's measured seconds-per-node-read cost.  Light
+    error), at the registry's measured seconds-per-node-read cost.  Light
     traffic (large gaps) therefore refines up to ``max_budget`` nodes; a
     burst (tiny gaps) degrades to ``min_budget`` instead of queue collapse.
 
@@ -255,9 +251,9 @@ class AdaptiveBudgetPolicy:
     min_budget / max_budget:
         Inclusive clamp of the granted per-query budget.
     node_cost_s:
-        Fallback seconds per lockstep node read, used until the engine has
+        Fallback seconds per lockstep node read, used until the registry has
         calibrated its own estimate from observed budgeted rounds
-        (:meth:`~repro.serving.ServingEngine.node_cost_estimate`).
+        (:meth:`~repro.serving.ModelRegistry.node_cost_estimate`).
     utilisation:
         Fraction of the inter-arrival gap to spend refining, in ``(0, 1]``.
     """
@@ -288,7 +284,7 @@ class AdaptiveBudgetPolicy:
         mean_gap_s:
             The arrival-rate estimator's current mean inter-arrival gap.
         node_cost_hint:
-            The engine's calibrated cost per node read, if available;
+            The registry's calibrated cost per node read, if available;
             overrides the policy's static ``node_cost_s`` fallback.
         """
         cost = node_cost_hint if node_cost_hint and node_cost_hint > 0 else self.node_cost_s
@@ -309,13 +305,13 @@ class _PendingRequest:
 
 
 class AsyncServingClient:
-    """Asyncio-native classification client over a :class:`ServingEngine`.
+    """Asyncio-native classification client over a :class:`ModelRegistry`.
 
     Concurrent ``await classify(...)`` calls are coalesced by an
-    event-loop-side micro-batcher into engine rounds: the first queued
+    event-loop-side micro-batcher into registry rounds: the first queued
     request opens a round, the round dispatches when ``max_batch`` requests
-    are pending or ``linger_s`` has passed, and the blocking engine call runs
-    in a worker thread so the event loop stays responsive.  Requests wait in
+    are pending or ``linger_s`` has passed, and the blocking registry call
+    runs in a worker thread so the event loop stays responsive.  Requests wait in
     per-tenant FIFO queues and rounds are assembled by a deficit-round-robin
     scheduler (:class:`~repro.serving.admission.DeficitRoundRobin`) weighted
     by each tenant's :class:`TenantPolicy.weight` — fairness under
@@ -331,21 +327,13 @@ class AsyncServingClient:
 
     Parameters
     ----------
-    engine:
-        The engine serving the *default tenant*.  Optional when ``registry``
-        is given (then every tenant, the default included, routes to the
-        registry).  The client does not take ownership: closing the client
-        leaves the engine running.
     registry:
-        Optional :class:`~repro.serving.ModelRegistry` serving the
-        non-default tenants (and the default one too when no ``engine`` is
-        given).  At least one of ``engine``/``registry`` is required.
-    default_tenant:
-        The tenant name requests without an explicit ``tenant=`` resolve to
-        (the tenant the legacy unversioned HTTP routes alias onto).
+        The :class:`~repro.serving.ModelRegistry` serving every tenant (a
+        single-model deployment is a one-tenant registry).  The client does
+        not take ownership: closing the client leaves the registry running.
     max_batch / linger_s:
-        Micro-batching knobs; default to the engine's settings (or the
-        engine constructor defaults when only a registry is given).
+        Micro-batching knobs: a round closes at ``max_batch`` requests or
+        ``linger_s`` seconds after its first request.
     max_pending:
         Bound of the request queue (backpressure threshold), summed over
         every tenant's admission queue.
@@ -355,43 +343,37 @@ class AsyncServingClient:
     budget_policy / estimator:
         The load-adaptive budget policy and arrival-rate estimator; default
         instances are created when omitted.
-    tenant_policies:
-        Optional explicit per-tenant :class:`TenantPolicy` mapping for the
-        admission layer (DRR ``weight``, ``max_queue_depth``,
-        ``requests_per_sec``).  Looked up before the registry's registered
-        policies — the way to configure admission for engine-only
-        deployments, which have no registry to carry policies.  Tenants in
-        neither source get the default policy (weight 1.0, no bounds).
+    default_tenant:
+        The tenant name requests without an explicit ``tenant=`` resolve to
+        (the tenant the legacy unversioned HTTP routes alias onto).
+
+    Admission reads each tenant's registered :class:`TenantPolicy` (DRR
+    ``weight``, ``max_queue_depth``, ``requests_per_sec``) from the
+    registry; unregistered tenants get the default policy (weight 1.0, no
+    bounds).
     """
 
     def __init__(
         self,
-        engine: Optional[ServingEngine] = None,
-        max_batch: Optional[int] = None,
-        linger_s: Optional[float] = None,
+        registry: ModelRegistry,
+        max_batch: int = 256,
+        linger_s: float = 0.002,
         max_pending: int = 1024,
         default_budget: object = None,
         budget_policy: Optional[AdaptiveBudgetPolicy] = None,
         estimator: Optional[ArrivalRateEstimator] = None,
-        registry: Optional[ModelRegistry] = None,
         default_tenant: str = "default",
-        tenant_policies: "Optional[Mapping[str, TenantPolicy]]" = None,
     ) -> None:
         if max_pending < 1:
             raise ValueError("max_pending must be at least 1")
-        if engine is None and registry is None:
-            raise ValueError("need an engine, a registry, or both")
         if not default_tenant:
             raise ValueError("default_tenant must be a non-empty string")
-        self._engine = engine
         self._registry = registry
         self.default_tenant = str(default_tenant)
-        engine_batch = engine.max_batch if engine is not None else 256
-        engine_linger = engine.linger_s if engine is not None else 0.002
-        self.max_batch = int(max_batch if max_batch is not None else engine_batch)
+        self.max_batch = int(max_batch)
         if self.max_batch < 1:
             raise ValueError("max_batch must be at least 1")
-        self.linger_s = float(engine_linger if linger_s is None else linger_s)
+        self.linger_s = float(linger_s)
         if self.linger_s < 0:
             raise ValueError("linger_s must be non-negative")
         self.max_pending = int(max_pending)
@@ -399,7 +381,6 @@ class AsyncServingClient:
         self.budget_policy = budget_policy or AdaptiveBudgetPolicy()
         self.estimator = estimator or ArrivalRateEstimator()
         self.stats = FrontendStats()
-        self._tenant_policies: Dict[str, TenantPolicy] = dict(tenant_policies or {})
         self._default_policy = TenantPolicy()
         self._admission: "DeficitRoundRobin[_PendingRequest]" = DeficitRoundRobin()
         self._buckets: Dict[str, Tuple[float, TokenBucket]] = {}
@@ -409,13 +390,8 @@ class AsyncServingClient:
 
     # -- public API ---------------------------------------------------------------------------
     @property
-    def engine(self) -> Optional[ServingEngine]:
-        """The default tenant's serving engine (``None`` in registry-only mode)."""
-        return self._engine
-
-    @property
-    def registry(self) -> Optional[ModelRegistry]:
-        """The model registry serving non-default tenants, when configured."""
+    def registry(self) -> ModelRegistry:
+        """The model registry serving every tenant."""
         return self._registry
 
     def _resolve_tenant(self, tenant: Optional[str]) -> str:
@@ -426,24 +402,6 @@ class AsyncServingClient:
             raise ValueError("tenant must be a non-empty string")
         return tenant
 
-    def _expected_dimension(self, tenant: str) -> Optional[int]:
-        """Feature dimension to validate against now, if any backend knows it."""
-        if tenant == self.default_tenant and self._engine is not None:
-            return self._engine.dimension
-        if self._registry is not None:
-            return self._registry.expected_dimension(tenant)
-        return None
-
-    def _node_cost(self) -> Optional[float]:
-        """The calibrated seconds-per-node-read hint from whichever backend has one."""
-        if self._engine is not None:
-            cost = self._engine.node_cost_estimate()
-            if cost is not None:
-                return cost
-        if self._registry is not None:
-            return self._registry.node_cost_estimate()
-        return None
-
     @property
     def queue_depth(self) -> int:
         """Number of requests currently waiting for a micro-batch round."""
@@ -452,18 +410,12 @@ class AsyncServingClient:
     def _policy_for(self, tenant: str) -> TenantPolicy:
         """The admission policy governing ``tenant``'s requests right now.
 
-        Explicit ``tenant_policies`` entries win, then the registry's
-        registered policy, then the all-defaults policy — read per request,
-        so a policy change applies to the next admission decision.
+        The registry's registered policy, else the all-defaults policy —
+        read per request, so a policy change applies to the next admission
+        decision.
         """
-        policy = self._tenant_policies.get(tenant)
-        if policy is not None:
-            return policy
-        if self._registry is not None:
-            registered = self._registry.tenant_policy(tenant)
-            if registered is not None:
-                return registered
-        return self._default_policy
+        registered = self._registry.tenant_policy(tenant)
+        return registered if registered is not None else self._default_policy
 
     def _bucket_for(self, tenant: str, policy: TenantPolicy) -> Optional[TokenBucket]:
         """The tenant's quota bucket (rebuilt when the policy's rate changes)."""
@@ -530,7 +482,7 @@ class AsyncServingClient:
         detail: bool = False,
         tenant: Optional[str] = None,
     ) -> "ClassifyResult | Hashable":
-        """Classify one feature vector through the micro-batched engine.
+        """Classify one feature vector through the micro-batched registry.
 
         Parameters
         ----------
@@ -550,7 +502,7 @@ class AsyncServingClient:
             budget, latency) instead of the bare label.
         tenant:
             Which tenant's model serves the request (``None`` = the client's
-            ``default_tenant``).  Non-default tenants require a registry.
+            ``default_tenant``).
 
         Returns
         -------
@@ -569,14 +521,14 @@ class AsyncServingClient:
         FrontendClosedError
             If the client is closed (or closes without draining).
         TenantNotFoundError
-            If the tenant resolves to no model (no registry, or an
-            unregistered tenant without a prior snapshot).
+            If the tenant resolves to no model (an unregistered tenant
+            without a prior snapshot).
         ValueError
             If ``features`` does not match the tenant's model dimension.
         """
         features = np.asarray(features, dtype=float)
         resolved_tenant = self._resolve_tenant(tenant)
-        expected = self._expected_dimension(resolved_tenant)
+        expected = self._registry.expected_dimension(resolved_tenant)
         if features.ndim != 1 or (expected is not None and features.shape != (expected,)):
             raise ValueError(f"features must have shape ({expected or 'dimension'},)")
         if self._closed:
@@ -673,7 +625,7 @@ class AsyncServingClient:
         """
         queries = np.asarray(queries, dtype=float)
         resolved_tenant = self._resolve_tenant(tenant)
-        expected = self._expected_dimension(resolved_tenant)
+        expected = self._registry.expected_dimension(resolved_tenant)
         if queries.ndim != 2 or (expected is not None and queries.shape[1] != expected):
             raise ValueError(f"queries must be an (m, {expected or 'dimension'}) array")
         if self._closed:
@@ -698,25 +650,14 @@ class AsyncServingClient:
     ) -> None:
         """Hot-swap one tenant's model to a new snapshot without dropping requests.
 
-        For the engine-backed default tenant this runs
-        :meth:`ServingEngine.swap_snapshot` in a worker thread; for
-        registry-backed tenants it runs :meth:`ModelRegistry.load` (which
-        registers the tenant if needed).  Either way in-flight rounds finish
-        on the old snapshot and queued requests are served by the new one
-        once the swap completes.  Raises whatever the backend validation
-        raises (bad container, dimension mismatch).
+        Runs :meth:`ModelRegistry.load` (which registers the tenant if
+        needed) in a worker thread: in-flight rounds finish on the old
+        snapshot and queued requests are served by the new one once the swap
+        completes.  Raises whatever the registry's validation raises (bad
+        container, dimension mismatch).
         """
         resolved_tenant = self._resolve_tenant(tenant)
         loop = asyncio.get_running_loop()
-        if resolved_tenant == self.default_tenant and self._engine is not None:
-            await loop.run_in_executor(
-                None, functools.partial(self._engine.swap_snapshot, snapshot_path)
-            )
-            return
-        if self._registry is None:
-            raise TenantNotFoundError(
-                f"tenant {resolved_tenant!r} cannot be swapped: no model registry"
-            )
         await loop.run_in_executor(
             None, functools.partial(self._registry.load, resolved_tenant, snapshot_path)
         )
@@ -761,7 +702,7 @@ class AsyncServingClient:
         immediately with :class:`FrontendClosedError`.  Either way every
         pending future is resolved — no waiter is left hanging — and later
         :meth:`classify` calls raise :class:`FrontendClosedError`.  The
-        underlying engine stays open (the caller owns it).
+        underlying registry stays open (the caller owns it).
         """
         if self._closed:
             return
@@ -804,8 +745,7 @@ class AsyncServingClient:
                 await self._wakeup.wait()
             if self.linger_s > 0 and not self._closed:
                 # Linger: let the round fill towards max_batch before
-                # dispatching — the event-loop analogue of the engine
-                # dispatcher thread's wait.
+                # dispatching.
                 round_deadline = loop.time() + self.linger_s
                 while len(self._admission) < self.max_batch and not self._closed:
                     remaining = round_deadline - loop.time()
@@ -825,7 +765,7 @@ class AsyncServingClient:
 
     async def _serve_round(self, batch: List[_PendingRequest]) -> None:
         # Requests whose waiter gave up (deadline timeout cancels the future)
-        # are dropped before any engine work is spent on them.
+        # are dropped before any registry work is spent on them.
         live: List[_PendingRequest] = []
         for request in batch:
             if request.future.done():
@@ -836,7 +776,7 @@ class AsyncServingClient:
             return
         # Rounds are homogeneous in (tenant, budgeted-ness): different tenants
         # hit different models, and full-refinement vs budgeted requests take
-        # different sharding paths.  Grouping preserves arrival order within
+        # different descent paths.  Grouping preserves arrival order within
         # each group, which is what keeps per-tenant traces deterministic.
         groups: "Dict[Tuple[str, bool], List[_PendingRequest]]" = {}
         for request in live:
@@ -845,9 +785,8 @@ class AsyncServingClient:
         for (tenant, unbudgeted), group in groups.items():
             budgets = None if unbudgeted else self._resolve_budgets(group)
             rounds.append(self._execute_group(group, budgets=budgets, tenant=tenant))
-        # The engine supports concurrent serving rounds (readers side of the
-        # swap guard), so the slow full-refinement round must not delay the
-        # deadline-carrying budgeted one behind it.
+        # The registry serves concurrent rounds, so the slow full-refinement
+        # round must not delay the deadline-carrying budgeted one behind it.
         await asyncio.gather(*rounds)
 
     def _resolve_budgets(self, budgeted: List[_PendingRequest]) -> List[int]:
@@ -855,21 +794,19 @@ class AsyncServingClient:
 
         The adaptive choice is additionally clamped by the tightest remaining
         deadline among the *adaptive* requests (translated into affordable
-        node reads via the engine's calibrated cost).  Fixed-budget requests
-        are never clamped — their trace identity with direct
+        node reads via the registry's calibrated cost).  Fixed-budget
+        requests are never clamped — their trace identity with direct
         ``predict_batch`` is part of the contract, which is why the clamp
-        happens here on the adaptive choice alone and not engine-side on the
-        whole round.
+        happens here on the adaptive choice alone and not registry-side on
+        the whole round.
         """
         adaptive = [request for request in budgeted if request.node_budget is ADAPTIVE]
         chosen: Optional[int] = None
         if adaptive:
-            chosen = self.budget_policy.budget(
-                self.estimator.mean_gap_s, node_cost_hint=self._node_cost()
-            )
+            cost = self._registry.node_cost_estimate()
+            chosen = self.budget_policy.budget(self.estimator.mean_gap_s, node_cost_hint=cost)
             deadlines = [request.deadline for request in adaptive if request.deadline is not None]
             if deadlines:
-                cost = self._node_cost()
                 if cost is not None and cost > 0:
                     loop = asyncio.get_running_loop()
                     remaining = max(min(deadlines) - loop.time(), 0.0)
@@ -882,40 +819,14 @@ class AsyncServingClient:
             for request in budgeted
         ]
 
-    def _backend_call(
-        self, tenant: str, features: np.ndarray, budgets: Optional[List[int]]
-    ) -> "functools.partial[List[Hashable]]":
-        """The blocking one-round call for a tenant: engine or registry.
-
-        The engine serves the default tenant when present (the pre-v1
-        single-model deployment — byte- and trace-identical to the legacy
-        path); everything else goes through the registry.  A tenant with no
-        backend fails the whole group with
-        :class:`~repro.serving.TenantNotFoundError`.
-        """
-        if tenant == self.default_tenant and self._engine is not None:
-            return functools.partial(self._engine.predict_batch, features, node_budget=budgets)
-        if self._registry is None:
-            raise TenantNotFoundError(
-                f"tenant {tenant!r} has no serving backend (no model registry configured)"
-            )
-        return functools.partial(
-            self._registry.predict_batch, tenant, features, node_budget=budgets
-        )
-
     async def _execute_group(
         self, group: List[_PendingRequest], budgets: Optional[List[int]], tenant: str
     ) -> None:
         loop = asyncio.get_running_loop()
         features = np.stack([request.features for request in group])
-        try:
-            call = self._backend_call(tenant, features, budgets)
-        except TenantNotFoundError as error:
-            for request in group:
-                if not request.future.done():
-                    self.stats.failed += 1
-                    request.future.set_exception(error)
-            return
+        call = functools.partial(
+            self._registry.predict_batch, tenant, features, node_budget=budgets
+        )
         self.stats.batches += 1
         try:
             predictions = await loop.run_in_executor(None, call)
@@ -1027,6 +938,7 @@ _STATUS_TEXT = {
     200: "OK",
     400: "Bad Request",
     404: "Not Found",
+    408: "Request Timeout",
     429: "Too Many Requests",
     500: "Internal Server Error",
     503: "Service Unavailable",
@@ -1035,6 +947,23 @@ _STATUS_TEXT = {
 
 _MAX_BODY_BYTES = 8 * 1024 * 1024
 _MAX_HEADER_LINES = 64
+#: Once a request line has arrived, its headers and body must follow within
+#: this many seconds; a client that stalls longer gets a 408 and a closed
+#: connection.  The idle wait for the next request line is unbounded.
+_REQUEST_READ_TIMEOUT_S = 10.0
+
+
+def _expire_read(expired: List[bool], task: "asyncio.Task") -> None:
+    """Read-deadline callback: mark the read expired and cancel its task."""
+    expired.append(True)
+    task.cancel()
+
+
+def _envelope_for(error: Exception) -> "Tuple[int, dict]":
+    """The error envelope of a failed request (routing errors carry their own code)."""
+    if isinstance(error, _HttpError):
+        return error_envelope(error, code=error.code, status=error.status)
+    return error_envelope(error)
 
 
 class HttpFrontend:
@@ -1060,20 +989,20 @@ class HttpFrontend:
 
     ``POST /v1/tenants/{tenant}/swap`` (alias ``POST /swap``)
         Body ``{"snapshot_path": "..."}``; hot-swaps that tenant's model
-        (engine swap for the engine-backed default tenant, registry load
-        otherwise).  Example response::
+        through a registry load.  Example response::
 
             {"swapped": true, "tenant": "default", "snapshot_path": "/tmp/f.npz"}
 
     ``GET /v1/tenants/{tenant}/stats``
         That tenant's stats document (per-tenant nesting of the registry's
-        ``stats_snapshot()``) plus its front-end admission view (queue
-        depth, DRR weight/deficit, granted-round share, rejection mix).
-        Example response::
+        ``stats_snapshot()`` plus the forest ``structure`` summary) and its
+        front-end admission view (queue depth, DRR weight/deficit,
+        granted-round share, rejection mix).  Example response::
 
             {"tenant": "acme", "resident": true, "shm_bytes": 1048576,
              "decay_rate": 0.01, "requests": 128, "cold_load_ms": 2.4,
              "policy": {"max_node_budget": 32, "pinned": false, ...},
+             "structure": {"n_classes": 10, "total_kernels": 1600, ...},
              "admission": {"queue_depth": 3, "weight": 2.0, "deficit": 0.0,
                            "granted_round_share": 0.4,
                            "rejected_quota": 7, ...}, ...}
@@ -1082,7 +1011,7 @@ class HttpFrontend:
         Registry-wide view: bounds, counters and the per-tenant nesting.
         Example response::
 
-            {"schema_version": 2, "capacity": 4, "resident": 2,
+            {"schema_version": 3, "capacity": 4, "resident": 2,
              "resident_bytes": 2097152, "counters": {"loads": 7,
              "evictions": 3, ...}, "tenants": {"acme": {...}, ...}}
 
@@ -1093,20 +1022,16 @@ class HttpFrontend:
         ``{"evicted": true, "tenant": "acme"}``.
 
     ``GET /healthz``
-        Liveness plus deployment facts.  Example response::
+        Liveness plus the registered tenant count.  Example response::
 
-            {"status": "ok", "snapshot_path": "/tmp/forest.npz",
-             "multiprocess": false, "n_shards": 1, "tenants": 2}
+            {"status": "ok", "tenants": 2}
 
     ``GET /stats``
-        One merged document: ``schema_version``, the engine's
-        ``stats_snapshot()`` (``null`` in registry-only mode), the
-        front-end counters and, when a registry is configured, its
-        tenant-nested snapshot.  Example response (abridged)::
+        One merged document: ``schema_version``, the front-end counters and
+        the registry's tenant-nested snapshot.  Example response
+        (abridged)::
 
-            {"schema_version": 3,
-             "engine": {"schema_version": 3, "requests": 512, "swaps": 1,
-                        "mode": "zero_copy", "shm_bytes": 1048576, ...},
+            {"schema_version": 4,
              "frontend": {"submitted": 512, "served": 510,
                           "rejected_queue_full": 2, "rejected_quota": 7,
                           "queue_depth": 0,
@@ -1123,7 +1048,9 @@ class HttpFrontend:
     (global or per-tenant) responds ``503``, a tenant over its
     ``requests_per_sec`` quota ``429``, a missed deadline ``504``, malformed
     requests (including malformed JSON bodies) ``400``, unknown tenants
-    ``404``.  **Every 429 and 503 carries a ``Retry-After`` header** derived
+    ``404``, and a client that stalls mid-request (after its request line)
+    ``408`` followed by a closed connection.  **Every 429 and 503 carries a
+    ``Retry-After`` header** derived
     from the envelope's ``retry_after_ms``.  The server binds with :func:`asyncio.start_server`;
     no third-party HTTP stack is required (an ``aiohttp`` front could serve
     the same client, but the stdlib shim keeps the dependency surface at
@@ -1178,13 +1105,11 @@ class HttpFrontend:
                     parsed = await self._read_request(reader)
                 except (asyncio.IncompleteReadError, ConnectionResetError):
                     break
-                except _HttpError as error:
-                    # Unparseable request: answer 400 and drop the connection
-                    # (framing is unknown from here on) instead of letting the
-                    # task die with no response on the wire.
-                    status, payload = error_envelope(
-                        error, code=error.code, status=error.status
-                    )
+                except (_HttpError, RequestTimeoutError) as error:
+                    # Unparseable or stalled request: answer it and drop the
+                    # connection (framing is unknown from here on) instead of
+                    # letting the task die with no response on the wire.
+                    status, payload = _envelope_for(error)
                     await self._write_response(writer, status, payload, keep_alive=False)
                     break
                 if parsed is None:
@@ -1193,15 +1118,12 @@ class HttpFrontend:
                 keep_alive = headers.get("connection", "keep-alive").lower() != "close"
                 try:
                     status, payload = await self._dispatch(method, path, body)
-                except _HttpError as error:
-                    status, payload = error_envelope(
-                        error, code=error.code, status=error.status
-                    )
                 except Exception as error:  # noqa: BLE001 - survive handler bugs per-request
-                    # One taxonomy for everything else: ServingError subclasses
-                    # carry their own code/status/retry hint, the bad-request
-                    # families map to 400, genuine bugs to a diagnosable 500.
-                    status, payload = error_envelope(error)
+                    # One taxonomy for everything: routing errors carry their
+                    # own code, ServingError subclasses their code/status/retry
+                    # hint, the bad-request families map to 400, genuine bugs
+                    # to a diagnosable 500.
+                    status, payload = _envelope_for(error)
                 await self._write_response(writer, status, payload, keep_alive)
                 if not keep_alive:
                     break
@@ -1222,6 +1144,31 @@ class HttpFrontend:
         if len(parts) != 3:
             raise _HttpError(400, "malformed request line")
         method, path, _version = parts
+        # A timer that cancels this task, not asyncio.wait_for: wait_for
+        # wraps the read in a second task per request before Python 3.12.
+        task = asyncio.current_task()
+        assert task is not None
+        expired: List[bool] = []
+        timer = asyncio.get_running_loop().call_later(
+            _REQUEST_READ_TIMEOUT_S, _expire_read, expired, task
+        )
+        try:
+            headers, body = await self._read_head_and_body(reader)
+        except asyncio.CancelledError:
+            if not expired:
+                raise
+            uncancel = getattr(task, "uncancel", None)  # Python 3.11+
+            if uncancel is not None:
+                uncancel()  # the cancel was ours; the task carries on
+            raise RequestTimeoutError(
+                f"request headers and body not received within {_REQUEST_READ_TIMEOUT_S:g} s"
+            ) from None
+        finally:
+            timer.cancel()
+        return method.upper(), path, headers, body
+
+    @staticmethod
+    async def _read_head_and_body(reader: asyncio.StreamReader) -> "Tuple[dict, bytes]":
         headers: Dict[str, str] = {}
         for _ in range(_MAX_HEADER_LINES):
             line = await reader.readline()
@@ -1238,7 +1185,7 @@ class HttpFrontend:
         if length < 0 or length > _MAX_BODY_BYTES:
             raise _HttpError(400, "invalid request body length")
         body = await reader.readexactly(length) if length else b""
-        return method.upper(), path, headers, body
+        return headers, body
 
     async def _write_response(
         self, writer: asyncio.StreamWriter, status: int, payload: dict, keep_alive: bool
@@ -1297,12 +1244,6 @@ class HttpFrontend:
             raise _HttpError(404, f"malformed tenant route {path!r}")
         return tenant, action
 
-    def _registry_or_404(self) -> ModelRegistry:
-        registry = self._client.registry
-        if registry is None:
-            raise _HttpError(404, "no model registry is configured on this server")
-        return registry
-
     async def _handle_classify(self, tenant: Optional[str], body: bytes) -> "Tuple[int, dict]":
         payload = self._parse_body(body)
         result = await self._client.classify(
@@ -1336,27 +1277,14 @@ class HttpFrontend:
         snapshot_path = str(payload["snapshot_path"])
         await self._client.swap_snapshot(snapshot_path, tenant=tenant)
         resolved = tenant if tenant is not None else self._client.default_tenant
-        engine = self._client.engine
-        if resolved == self._client.default_tenant and engine is not None:
-            snapshot_path = engine.snapshot_path
         return 200, {"swapped": True, "tenant": resolved, "snapshot_path": snapshot_path}
 
-    def _handle_tenant_stats(self, tenant: str) -> "Tuple[int, dict]":
-        registry = self._client.registry
-        if registry is not None and tenant in registry.known_tenants():
-            stats = registry.tenant_stats(tenant)
-            stats["admission"] = self._client.tenant_admission_snapshot(tenant)
-            return 200, stats
-        engine = self._client.engine
-        if tenant == self._client.default_tenant and engine is not None:
-            return 200, {
-                "tenant": tenant,
-                "resident": True,
-                "snapshot_path": engine.snapshot_path,
-                "engine": engine.stats_snapshot(),
-                "admission": self._client.tenant_admission_snapshot(tenant),
-            }
-        raise _HttpError(404, f"tenant {tenant!r} is not registered", code="tenant_not_found")
+    async def _handle_tenant_stats(self, tenant: str) -> "Tuple[int, dict]":
+        # The structure summary is computed on request: off the event loop.
+        loop = asyncio.get_running_loop()
+        stats = await loop.run_in_executor(None, self._client.registry.tenant_stats, tenant)
+        stats["admission"] = self._client.tenant_admission_snapshot(tenant)
+        return 200, stats
 
     async def _dispatch(self, method: str, path: str, body: bytes) -> "Tuple[int, dict]":
         client = self._client
@@ -1370,12 +1298,12 @@ class HttpFrontend:
             if action == "swap" and method == "POST":
                 return await self._handle_swap(tenant, body)
             if action == "stats" and method == "GET":
-                return self._handle_tenant_stats(tenant)
+                return await self._handle_tenant_stats(tenant)
             raise _HttpError(404, f"no route for {method} {path}")
+        registry = client.registry
         if path == "/v1/registry" and method == "GET":
-            return 200, self._registry_or_404().stats_snapshot()
+            return 200, registry.stats_snapshot()
         if path == "/v1/registry/load" and method == "POST":
-            registry = self._registry_or_404()
             payload = self._parse_body(body)
             tenant_name = str(payload["tenant"])
             snapshot = payload.get("snapshot_path")
@@ -1390,34 +1318,19 @@ class HttpFrontend:
             )
             return 200, stats
         if path == "/v1/registry/evict" and method == "POST":
-            registry = self._registry_or_404()
             payload = self._parse_body(body)
             tenant_name = str(payload["tenant"])
             loop = asyncio.get_running_loop()
             evicted = await loop.run_in_executor(None, registry.evict, tenant_name)
             return 200, {"evicted": bool(evicted), "tenant": tenant_name}
         if path == "/healthz" and method == "GET":
-            engine = client.engine
-            health: dict = {"status": "ok"}
-            if engine is not None:
-                health.update(
-                    snapshot_path=engine.snapshot_path,
-                    multiprocess=engine.is_multiprocess,
-                    n_shards=engine.n_shards,
-                )
-            if client.registry is not None:
-                health["tenants"] = len(client.registry.known_tenants())
-            return 200, health
+            return 200, {"status": "ok", "tenants": len(registry.known_tenants())}
         if path == "/stats" and method == "GET":
-            engine = client.engine
-            stats_doc: dict = {
-                "schema_version": 3,
-                "engine": engine.stats_snapshot() if engine is not None else None,
+            return 200, {
+                "schema_version": 4,
                 "frontend": client.stats_snapshot(),
+                "registry": registry.stats_snapshot(),
             }
-            if client.registry is not None:
-                stats_doc["registry"] = client.registry.stats_snapshot()
-            return 200, stats_doc
         # Legacy unversioned aliases: same handlers, default tenant.
         if path == "/classify" and method == "POST":
             return await self._handle_classify(None, body)

@@ -1,11 +1,12 @@
-"""Multi-tenant model registry: many forests, one serving engine.
+"""Model registry: the one serving backend, for one forest or many.
 
 The paper's anytime Bayes forest is *one* classifier; production traffic from
 millions of users means *many* — per-tenant models with independent
-drift/decay clocks, loaded and retired on demand.  PR 6's flat snapshot
-encoding made a per-tenant load nearly free (mmap the columns, copy into one
-shared segment, wrap zero-copy views); this module adds the missing control
-plane:
+drift/decay clocks, loaded and retired on demand.  A single-model deployment
+is simply a one-tenant registry (``registry.load("default", path)``).  The
+flat snapshot encoding makes a tenant load nearly free (mmap the columns,
+copy into one shared segment, wrap zero-copy views); this module adds the
+control plane:
 
 * **Per-tenant flat-snapshot entries.**  Each resident tenant owns one
   :class:`~repro.serving.shared_mem.SharedColumnStore` segment holding its
@@ -13,16 +14,18 @@ plane:
   wrapper.  Classification goes through exactly the same lockstep drivers as
   single-tenant serving, so a tenant's anytime refinement traces
   (``classification_trace_hash``) are bit-identical to serving that tenant's
-  snapshot alone.
+  snapshot alone.  Snapshots written without flat members are compiled on
+  load (and on swap), so any loadable snapshot serves zero-copy.
 * **LRU load/evict cache with bounded shared memory.**  At most ``capacity``
   tenants are resident, and their segments total at most ``capacity_bytes``.
   Loading past a bound evicts the least-recently-used tenants; an evicted
   tenant stays *registered* and transparently reloads on its next request
-  (the measured cold-load path).  Eviction reuses the PR 6 swap discipline:
-  it waits for the tenant's in-flight rounds to drain, then releases the
-  registry's attachment and unlinks the segment via the store — the registry
-  and the engine are the only modules allowed to trigger segment disposal
-  (machine-checked by reprolint RL003).
+  (the measured cold-load path).  Eviction and snapshot swaps share one
+  discipline: wait for the tenant's in-flight rounds to drain, then release
+  the registry's attachment and unlink the segment via the store — the
+  registry is the only module allowed to trigger segment disposal
+  (machine-checked by reprolint RL003).  A pool worker that dies cannot leak
+  a segment: its attachment dies with it and the name stays the registry's.
 * **Per-tenant decay clocks and budget policies.**  Every tenant's snapshot
   carries its own logical :class:`~repro.index.decay.DecayClock`, so tenants
   age and drift independently by construction; the registry surfaces each
@@ -64,8 +67,8 @@ from .shared_mem import SharedColumnStore, attach_columns, release_attachment
 
 __all__ = ["ModelRegistry", "RegistryStats", "TenantPolicy"]
 
-#: Per-query node budgets accepted by the tenant serving surface (mirrors
-#: :data:`repro.serving.engine.BudgetSpec`).
+#: Per-query node budgets accepted by the serving surface: one scalar budget
+#: for the whole round, or one budget per query.
 BudgetSpec = Union[int, Sequence[int], np.ndarray]
 
 #: Per-process attachment cache of the shared worker pool: ``shm name ->
@@ -233,7 +236,7 @@ def _pool_forest(spec: dict) -> FlatForest:
     Keyed by segment name: a tenant reload builds a *new* segment, so stale
     cache entries for disposed segments simply age out (their mapping stays
     valid until closed — POSIX keeps unlinked segments alive for attached
-    processes, which is what makes engine-side eviction safe mid-round).
+    processes, which is what makes registry-side eviction safe mid-round).
     """
     cache: "OrderedDict[str, Tuple[object, FlatForest]]" = _POOL_STATE.setdefault(
         "cache", OrderedDict()
@@ -272,7 +275,7 @@ def _pool_predict(
 
 
 class ModelRegistry:
-    """Serve many independent forest snapshots from one shared engine.
+    """Serve one or many independent forest snapshots from one worker pool.
 
     Parameters
     ----------
@@ -299,8 +302,7 @@ class ModelRegistry:
 
     Thread safety: all public methods may be called concurrently; eviction
     and per-tenant snapshot swaps wait for that tenant's in-flight rounds to
-    drain (the PR 6 swap discipline) and never tear a round across two
-    snapshots.
+    drain and never tear a round across two snapshots.
     """
 
     def __init__(
@@ -434,8 +436,10 @@ class ModelRegistry:
         Raises
         ------
         ValueError
-            For an invalid tenant name, or when ``snapshot_path`` is omitted
-            for an unregistered tenant.
+            For an invalid tenant name, when ``snapshot_path`` is omitted
+            for an unregistered tenant, or when a swap would change a
+            resident tenant's feature dimension (the old snapshot keeps
+            serving).
         repro.persist.SnapshotError
             When the container is unreadable.
         """
@@ -476,6 +480,21 @@ class ModelRegistry:
                 self._cond.notify_all()
             raise
         evicted: List[_TenantEntry] = []
+        with self._cond:
+            current = self._entries.get(name)
+            # Queued requests were validated against the resident dimension;
+            # a swap must not strand them.
+            mismatch = current is not None and current.dimension != new_entry.dimension
+            if mismatch:
+                self._busy.discard(name)
+                self._cond.notify_all()
+        if mismatch:
+            assert current is not None
+            self._destroy_entry(new_entry)
+            raise ValueError(
+                f"snapshot dimension {new_entry.dimension} does not match tenant "
+                f"{name!r}'s dimension {current.dimension}"
+            )
         with self._cond:
             old = self._entries.pop(name, None)
             if old is not None:
@@ -693,11 +712,28 @@ class ModelRegistry:
             return snapshot
 
     def tenant_stats(self, tenant: str) -> dict:
-        """The stats dict of one registered tenant (see :meth:`stats_snapshot`)."""
+        """The stats dict of one registered tenant, with its forest structure.
+
+        The :meth:`stats_snapshot` entry of the tenant plus ``structure``:
+        the structure-health summary (:meth:`FlatForest.structure_stats`)
+        of the resident forest, computed on request from its interval
+        columns so loads never pay for it (``None`` when not resident).
+        """
         with self._cond:
             if tenant not in self._known:
                 raise TenantNotFoundError(f"tenant {tenant!r} is not registered")
-            return self._tenant_stats_locked(tenant)
+            stats = self._tenant_stats_locked(tenant)
+            entry = self._entries.get(tenant)
+            if entry is not None:
+                entry.active += 1  # pin the segment for the column reductions
+        stats["structure"] = None
+        if entry is not None:
+            try:
+                assert entry.forest is not None
+                stats["structure"] = entry.forest.structure_stats()
+            finally:
+                self._release(entry)
+        return stats
 
     # -- internals ---------------------------------------------------------------------------
     @staticmethod
@@ -786,7 +822,7 @@ class ModelRegistry:
 
         The zero-copy forest holds views into the attachment, so references
         are dropped first; the store's dispose is the segment's single
-        unlink (reprolint RL003 allows it exactly here and in the engine).
+        unlink (reprolint RL003 allows it only in this module).
         """
         entry.forest = None
         entry.spec = {}

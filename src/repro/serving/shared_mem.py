@@ -2,10 +2,10 @@
 
 The flat forest (:mod:`repro.core.flat`) is a set of read-only numpy columns,
 which makes cross-process sharing trivial in principle: place the bytes in a
-POSIX shared-memory segment once, and let every shard worker wrap zero-copy
+POSIX shared-memory segment once, and let every pool worker wrap zero-copy
 array views around the same physical pages.  This module owns the mechanics:
 
-* :class:`SharedColumnStore` — engine side.  Packs a ``name → array`` mapping
+* :class:`SharedColumnStore` — registry side.  Packs a ``name → array`` mapping
   into one segment (64-byte-aligned members) and records a layout table
   ``name → (offset, shape, dtype)`` that travels to workers as plain picklable
   data.  The creating process is responsible for the single ``unlink``; a
@@ -14,16 +14,16 @@ array views around the same physical pages.  This module owns the mechanics:
   validates the advertised layout against the actual segment size (a
   truncated segment raises ``ValueError`` instead of serving garbage), and
   returns read-only views.
-* :func:`memory_profile` — RSS introspection from ``/proc`` used by the
-  ``/stats`` endpoint to demonstrate the O(1)-in-workers memory behaviour
-  (shared pages are counted once, private pages per process).
+* :func:`memory_profile` — RSS introspection from ``/proc`` that
+  demonstrates the O(1)-in-workers memory behaviour (shared pages are
+  counted once, private pages per process).
 
 CPython 3.12-and-earlier quirk: ``SharedMemory`` registers every *attach*
 with the ``resource_tracker`` on POSIX, so a worker exiting would unlink a
 segment it merely mapped.  :func:`attach_columns` suppresses that
 registration while attaching (the tracker process is shared across forked
 workers, so registering-then-unregistering would strip the *creator's*
-entry and make its eventual ``unlink`` double-unregister) — the engine-side
+entry and make its eventual ``unlink`` double-unregister) — the registry-side
 finalizer is the only unlinker.
 """
 
@@ -98,7 +98,7 @@ def _attach_untracked(name: str) -> shared_memory.SharedMemory:
 class SharedColumnStore:
     """A named shared-memory segment holding a set of read-only numpy columns.
 
-    Created by the serving engine from the flat forest's columns; shard
+    Created by the model registry from the flat forest's columns; pool
     workers attach with :func:`attach_columns` using the store's ``name`` and
     ``layout``.  The store owns the segment: :meth:`dispose` (or garbage
     collection of the store, via ``weakref.finalize``) closes and unlinks it

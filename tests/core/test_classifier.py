@@ -174,7 +174,7 @@ class TestAnytimeClassification:
         assert len(predictions) == 10
 
     def test_qbk_refines_only_top_k_classes(self):
-        from repro.core.classifier import _QbkRotation
+        from repro.core.classifier import _choose_refinement, _QbkRotation
 
         classifier, points, labels = fitted_classifier(seed=9, qbk_k=1)
         query = points[0]  # clearly class 0
@@ -185,9 +185,10 @@ class TestAnytimeClassification:
         log_posterior = classifier._log_posterior(frontiers)
         rotation = _QbkRotation()
         for _ in range(10):
-            refined = classifier._refine_one(frontiers, log_posterior, k=1, rotation=rotation)
+            refined = _choose_refinement(frontiers, log_posterior, 1, rotation)
             if refined is None:
                 break
+            frontiers[refined].refine(classifier.descent)
             frontier_reads[refined] += 1
             log_posterior = classifier._log_posterior(frontiers)
         # With k=1 all reads go to the most probable class (class 0 here).
@@ -268,7 +269,7 @@ class TestQbkRotation:
         After the tiny tree is fully refined, the qbk rotation must keep
         serving the two remaining classes strictly in turns.
         """
-        from repro.core.classifier import _QbkRotation
+        from repro.core.classifier import _choose_refinement, _QbkRotation
 
         rng = np.random.default_rng(42)
         points = np.vstack(
@@ -287,9 +288,10 @@ class TestQbkRotation:
         served = []
         # 40 reads: enough to exhaust the tiny class but not the big ones.
         for _ in range(40):
-            refined = classifier._refine_one(frontiers, log_posterior, k=3, rotation=rotation)
+            refined = _choose_refinement(frontiers, log_posterior, 3, rotation)
             if refined is None:
                 break
+            frontiers[refined].refine(classifier.descent)
             served.append(refined)
             log_posterior = classifier._log_posterior(frontiers)
         assert frontiers[2].is_fully_refined

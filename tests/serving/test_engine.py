@@ -1,19 +1,20 @@
-"""Serving engine: sharded results must equal the in-process classifier's.
+"""Single-model serving: a one-tenant registry equals the in-process classifier.
 
-Small forests, 2-worker pools — these tests pin correctness (bit-identical
-predictions, micro-batching, hot swap, fallback) and leave throughput to
-``benchmarks/test_serving_throughput.py``.
+A single-model deployment is ``ModelRegistry`` with one tenant loaded as
+``"default"``.  Small forests, 2-worker pools — these tests pin correctness
+(bit-identical predictions, hot swap, swap validation, the in-process path)
+and leave throughput to ``benchmarks/test_serving_throughput.py``.
 """
 
-import warnings
+import threading
 
 import numpy as np
 import pytest
 
 from repro.core import AnytimeBayesClassifier, BayesTreeConfig
 from repro.data import make_dataset
-from repro.persist import load_forest, save_forest
-from repro.serving import ServingEngine
+from repro.persist import SnapshotError, load_forest, save_forest
+from repro.serving import ModelRegistry
 
 
 @pytest.fixture(scope="module")
@@ -38,78 +39,34 @@ def expected(snapshot):
     }
 
 
+def _single_model(path, workers):
+    registry = ModelRegistry(capacity=1, workers=workers)
+    registry.load("default", path)
+    return registry
+
+
 def test_fallback_serves_identical_predictions(snapshot, expected):
     path, queries = snapshot
-    with ServingEngine(path, workers=0) as engine:
-        assert not engine.is_multiprocess
-        assert engine.predict_batch(queries) == expected["full"]
-        assert engine.predict_batch(queries, node_budget=8) == expected["budget_8"]
-        assert engine.stats.batches == 2
-        assert engine.stats.requests == 2 * len(queries)
+    with _single_model(path, workers=0) as registry:
+        assert registry.stats_snapshot()["workers"] == 0
+        assert registry.predict_batch("default", queries) == expected["full"]
+        assert registry.predict_batch("default", queries, node_budget=8) == expected["budget_8"]
+        assert registry.stats.batches == 2
+        assert registry.stats.requests == 2 * len(queries)
 
 
 def test_sharded_workers_serve_identical_predictions(snapshot, expected):
     path, queries = snapshot
-    with ServingEngine(path, workers=2) as engine:
-        assert engine.n_shards == 2
-        assert engine.predict_batch(queries) == expected["full"]
-        assert engine.predict_batch(queries, node_budget=8) == expected["budget_8"]
+    with _single_model(path, workers=2) as registry:
+        assert registry.stats_snapshot()["workers"] == 2
+        assert registry.predict_batch("default", queries) == expected["full"]
+        assert registry.predict_batch("default", queries, node_budget=8) == expected["budget_8"]
         # Per-query budgets ride one lockstep batch.
         budgets = np.asarray([4, 8, 12] * (len(queries) // 3 + 1))[: len(queries)]
         local = load_forest(path)
-        assert engine.predict_batch(queries, node_budget=budgets) == local.predict_batch(
-            queries, node_budget=budgets
-        )
-
-
-def test_more_workers_than_classes_is_clamped(snapshot, expected):
-    path, queries = snapshot
-    with ServingEngine(path, workers=64) as engine:
-        assert engine.n_shards <= len(engine.labels)
-        assert engine.predict_batch(queries[:16]) == expected["full"][:16]
-
-
-def test_micro_batcher_groups_requests(snapshot, expected):
-    path, queries = snapshot
-    with ServingEngine(path, workers=2, max_batch=16, linger_s=0.01) as engine:
-        futures = [engine.classify(query) for query in queries[:24]]
-        budgeted = [engine.classify(query, node_budget=8) for query in queries[:8]]
-        assert [future.result(timeout=120) for future in futures] == expected["full"][:24]
-        assert [future.result(timeout=120) for future in budgeted] == expected["budget_8"][:8]
-        # 32 submissions were served in far fewer dispatch rounds.
-        assert engine.stats.requests == 32
-        assert engine.stats.batches < 32
-    with pytest.raises(RuntimeError, match="closed"):
-        engine.classify(queries[0])
-
-
-def test_submit_is_a_deprecated_alias_of_classify(snapshot, expected, monkeypatch):
-    from repro.serving import engine as engine_module
-
-    path, queries = snapshot
-    # The warning is once-per-process (module-level guard); reset it so this
-    # test sees it regardless of suite ordering.
-    monkeypatch.setattr(engine_module, "_SUBMIT_DEPRECATION_WARNED", False)
-    with ServingEngine(path, workers=0) as engine:
-        with pytest.warns(DeprecationWarning, match="classify"):
-            future = engine.submit(queries[0])
-        assert future.result(timeout=120) == expected["full"][0]
-
-
-def test_submit_deprecation_warns_once_per_process(snapshot, monkeypatch):
-    from repro.serving import engine as engine_module
-
-    path, queries = snapshot
-    monkeypatch.setattr(engine_module, "_SUBMIT_DEPRECATION_WARNED", False)
-    with ServingEngine(path, workers=0) as engine:
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            for _ in range(5):
-                engine.submit(queries[0]).result(timeout=120)
-        deprecations = [w for w in caught if issubclass(w.category, DeprecationWarning)]
-        # Five calls, one warning: the guard is a module flag, so even an
-        # "always" warnings filter cannot re-arm it.
-        assert len(deprecations) == 1
+        assert registry.predict_batch(
+            "default", queries, node_budget=budgets
+        ) == local.predict_batch(queries, node_budget=budgets)
 
 
 def test_hot_swap_switches_models_gracefully(snapshot, tmp_path):
@@ -121,26 +78,25 @@ def test_hot_swap_switches_models_gracefully(snapshot, tmp_path):
         classifier.partial_fit(rng.normal(size=queries.shape[1]) * 0.1, "intruder", timestamp=90.0)
     swapped_path = tmp_path / "swapped.npz"
     save_forest(classifier, swapped_path)
-    with ServingEngine(path, workers=2) as engine:
-        before = engine.predict_batch(queries)
-        engine.swap_snapshot(swapped_path)
-        after = engine.predict_batch(queries)
-        assert "intruder" in engine.labels
+    with _single_model(path, workers=2) as registry:
+        before = registry.predict_batch("default", queries)
+        registry.load("default", swapped_path)
+        after = registry.predict_batch("default", queries)
+        assert registry.tenant_stats("default")["n_classes"] == len(classifier.classes)
         assert after == load_forest(swapped_path).predict_batch(queries)
-        assert engine.stats.swaps == 1
+        assert registry.stats.swaps == 1
         assert before == load_forest(path).predict_batch(queries)
 
 
 def test_concurrent_swaps_never_tear_a_serving_round(snapshot, tmp_path):
     """Rounds racing hot swaps must come wholly from one snapshot or the other.
 
-    The engine guards swaps with a readers-writer protocol; without it a
-    round could score half its shards on the old forest and half on the new
-    one (or gather against a stale label layout and crash).  Swapping between
-    two forests with *different class sets* makes any tear loud.
+    A swap waits for the tenant's in-flight rounds to drain and parks new
+    ones until the new segment is in place; without that a round could be
+    served half by the old forest and half by the new one (or hit an
+    unlinked segment).  Swapping between two forests with *different class
+    sets* makes any tear loud.
     """
-    import threading
-
     path, queries = snapshot
     classifier = load_forest(path)
     rng = np.random.default_rng(3)
@@ -152,21 +108,22 @@ def test_concurrent_swaps_never_tear_a_serving_round(snapshot, tmp_path):
         "old": load_forest(path).predict_batch(queries),
         "new": load_forest(other_path).predict_batch(queries),
     }
-    with ServingEngine(path, workers=2) as engine:
+    with _single_model(path, workers=2) as registry:
         results, errors = [], []
 
         def serve():
             try:
                 for _ in range(12):
-                    results.append(engine.predict_batch(queries))
+                    results.append(registry.predict_batch("default", queries))
             except Exception as error:  # noqa: BLE001 - surfaced via the errors list
                 errors.append(error)
 
         thread = threading.Thread(target=serve)
         thread.start()
         for target in (other_path, path, other_path):
-            engine.swap_snapshot(target)
+            registry.load("default", target)
         thread.join()
+        assert registry.stats.swaps == 3
     assert not errors
     assert results and all(
         outcome == expected["old"] or outcome == expected["new"] for outcome in results
@@ -181,27 +138,28 @@ def test_swap_validates_the_new_snapshot(snapshot, tmp_path):
         other.partial_fit(rng.normal(size=3), "a")  # wrong dimensionality
     wrong_dim = tmp_path / "wrong.npz"
     save_forest(other, wrong_dim)
-    with ServingEngine(path, workers=0) as engine:
+    with _single_model(path, workers=0) as registry:
         with pytest.raises(ValueError, match="dimension"):
-            engine.swap_snapshot(wrong_dim)
+            registry.load("default", wrong_dim)
         garbage = tmp_path / "garbage.npz"
         garbage.write_bytes(b"junk")
-        from repro.persist import SnapshotError
-
         with pytest.raises(SnapshotError):
-            engine.swap_snapshot(garbage)
-        # Engine still serves from the old snapshot after rejected swaps.
-        assert engine.predict_batch(queries[:8]) == load_forest(path).predict_batch(queries[:8])
+            registry.load("default", garbage)
+        # The registry still serves the old snapshot after rejected swaps.
+        assert registry.stats.swaps == 0
+        assert registry.predict_batch("default", queries[:8]) == load_forest(
+            path
+        ).predict_batch(queries[:8])
 
 
 def test_engine_validates_inputs(snapshot):
     path, queries = snapshot
-    with ServingEngine(path, workers=0) as engine:
+    with _single_model(path, workers=0) as registry:
         with pytest.raises(ValueError, match="queries"):
-            engine.predict_batch(queries[0])
-        with pytest.raises(ValueError, match="features"):
-            engine.classify(queries)
+            registry.predict_batch("default", queries[0])
+        with pytest.raises(ValueError, match="queries"):
+            registry.predict_batch("default", queries[:, :3])
         with pytest.raises(ValueError, match="budget per query"):
-            engine.predict_batch(queries, node_budget=np.asarray([1, 2]))
+            registry.predict_batch("default", queries, node_budget=np.asarray([1, 2]))
     with pytest.raises(ValueError, match="workers"):
-        ServingEngine(path, workers=-1)
+        ModelRegistry(workers=-1)

@@ -1,8 +1,8 @@
 """Async front-end: batching semantics, adaptive budgets and failure modes.
 
-Everything runs on the ``workers=0`` synchronous engine so the tests pin the
+Everything runs on a one-tenant ``workers=0`` registry so the tests pin the
 front-end's own behaviour (coalescing, backpressure, deadlines, shutdown,
-swap) without multiprocess noise; engine parity across worker counts is
+swap) without multiprocess noise; serving parity across worker counts is
 pinned by ``tests/serving/test_engine.py``.
 """
 
@@ -21,8 +21,8 @@ from repro.serving import (
     AsyncServingClient,
     DeadlineExceededError,
     FrontendClosedError,
+    ModelRegistry,
     QueueFullError,
-    ServingEngine,
     drive_open_loop,
 )
 from repro.stream import DataStream, PoissonArrival
@@ -39,34 +39,35 @@ def snapshot(tmp_path_factory):
 
 
 @pytest.fixture()
-def engine(snapshot):
+def registry(snapshot):
     path, _ = snapshot
-    with ServingEngine(path, workers=0, linger_s=0.001) as engine:
-        yield engine
+    with ModelRegistry(capacity=1, workers=0) as registry:
+        registry.load("default", path)
+        yield registry
 
 
-def test_fixed_budget_and_full_refinement_match_engine(snapshot, engine):
+def test_fixed_budget_and_full_refinement_match_engine(snapshot, registry):
     _, dataset = snapshot
     queries = dataset.features[240:272]
 
     async def run():
-        async with AsyncServingClient(engine) as client:
+        async with AsyncServingClient(registry) as client:
             fixed = await client.classify_batch(queries, node_budget=8)
             full = await client.classify_batch(queries)
             single = await client.classify(queries[0], node_budget=8)
             return fixed, full, single
 
     fixed, full, single = asyncio.run(run())
-    assert fixed == engine.predict_batch(queries, node_budget=8)
-    assert full == engine.predict_batch(queries)
+    assert fixed == registry.predict_batch("default", queries, node_budget=8)
+    assert full == registry.predict_batch("default", queries)
     assert single == fixed[0]
 
 
-def test_detail_reports_granted_budget_and_latency(snapshot, engine):
+def test_detail_reports_granted_budget_and_latency(snapshot, registry):
     _, dataset = snapshot
 
     async def run():
-        async with AsyncServingClient(engine) as client:
+        async with AsyncServingClient(registry) as client:
             fixed = await client.classify(dataset.features[250], node_budget=6, detail=True)
             full = await client.classify(dataset.features[250], detail=True)
             adaptive = await client.classify(
@@ -82,30 +83,30 @@ def test_detail_reports_granted_budget_and_latency(snapshot, engine):
     assert fixed.latency_s >= 0 and full.latency_s >= 0
 
 
-def test_concurrent_requests_coalesce_into_few_rounds(snapshot, engine):
+def test_concurrent_requests_coalesce_into_few_rounds(snapshot, registry):
     _, dataset = snapshot
     queries = dataset.features[240:280]
 
     async def run():
-        async with AsyncServingClient(engine, max_batch=64, linger_s=0.02) as client:
+        async with AsyncServingClient(registry, max_batch=64, linger_s=0.02) as client:
             results = await asyncio.gather(
                 *(client.classify(query, node_budget=5) for query in queries)
             )
             return results, client.stats.batches
 
     results, batches = asyncio.run(run())
-    assert results == engine.predict_batch(queries, node_budget=5)
+    assert results == registry.predict_batch("default", queries, node_budget=5)
     # 40 concurrent requests must ride far fewer micro-batch rounds.
     assert batches < len(queries) / 2
 
 
-def test_queue_full_rejection_is_backpressure(snapshot, engine):
+def test_queue_full_rejection_is_backpressure(snapshot, registry):
     _, dataset = snapshot
     queries = dataset.features[240:248]
 
     async def run():
         # A long linger keeps the first requests parked in the queue.
-        client = AsyncServingClient(engine, max_pending=4, max_batch=64, linger_s=0.25)
+        client = AsyncServingClient(registry, max_pending=4, max_batch=64, linger_s=0.25)
         tasks = [asyncio.ensure_future(client.classify(query)) for query in queries[:4]]
         await asyncio.sleep(0.02)  # let the tasks enqueue; linger still running
         with pytest.raises(QueueFullError):
@@ -119,14 +120,14 @@ def test_queue_full_rejection_is_backpressure(snapshot, engine):
         return parked
 
     parked = asyncio.run(run())
-    assert parked == engine.predict_batch(queries[:4])
+    assert parked == registry.predict_batch("default", queries[:4])
 
 
-def test_deadline_exceeded_rejects_and_skips_the_request(snapshot, engine):
+def test_deadline_exceeded_rejects_and_skips_the_request(snapshot, registry):
     _, dataset = snapshot
 
     async def run():
-        client = AsyncServingClient(engine, max_batch=64, linger_s=0.15)
+        client = AsyncServingClient(registry, max_batch=64, linger_s=0.15)
         with pytest.raises(DeadlineExceededError):
             await client.classify(dataset.features[240], node_budget=4, deadline_ms=20)
         assert client.stats.rejected_deadline == 1
@@ -138,10 +139,10 @@ def test_deadline_exceeded_rejects_and_skips_the_request(snapshot, engine):
         return result
 
     result = asyncio.run(run())
-    assert result == engine.predict_batch(dataset.features[241:242], node_budget=4)[0]
+    assert result == registry.predict_batch("default", dataset.features[241:242], node_budget=4)[0]
 
 
-def test_swap_during_in_flight_async_requests(snapshot, engine, tmp_path):
+def test_swap_during_in_flight_async_requests(snapshot, registry, tmp_path):
     path, dataset = snapshot
     queries = dataset.features[240:264]
     classifier = load_forest(path)
@@ -154,25 +155,25 @@ def test_swap_during_in_flight_async_requests(snapshot, engine, tmp_path):
     new = load_forest(swapped).predict_batch(queries)
 
     async def run():
-        async with AsyncServingClient(engine, max_batch=8, linger_s=0.005) as client:
+        async with AsyncServingClient(registry, max_batch=8, linger_s=0.005) as client:
             tasks = [asyncio.ensure_future(client.classify(query)) for query in queries]
             await asyncio.sleep(0.002)
             await client.swap_snapshot(swapped)
             return await asyncio.gather(*tasks)
 
     results = asyncio.run(run())
-    assert engine.stats.swaps == 1
+    assert registry.stats.swaps == 1
     # Every request resolves, each from exactly one of the two snapshots.
     for index, prediction in enumerate(results):
         assert prediction == old[index] or prediction == new[index]
 
 
-def test_clean_shutdown_drains_pending_futures(snapshot, engine):
+def test_clean_shutdown_drains_pending_futures(snapshot, registry):
     _, dataset = snapshot
     queries = dataset.features[240:252]
 
     async def run():
-        client = AsyncServingClient(engine, max_batch=64, linger_s=0.3)
+        client = AsyncServingClient(registry, max_batch=64, linger_s=0.3)
         tasks = [asyncio.ensure_future(client.classify(query, node_budget=3)) for query in queries]
         await asyncio.sleep(0.02)  # requests are parked in the linger window
         await client.aclose(drain=True)  # must serve them, not strand them
@@ -182,15 +183,15 @@ def test_clean_shutdown_drains_pending_futures(snapshot, engine):
         return results
 
     results = asyncio.run(run())
-    assert results == engine.predict_batch(queries, node_budget=3)
+    assert results == registry.predict_batch("default", queries, node_budget=3)
 
 
-def test_non_drain_shutdown_fails_pending_futures(snapshot, engine):
+def test_non_drain_shutdown_fails_pending_futures(snapshot, registry):
     _, dataset = snapshot
     queries = dataset.features[240:248]
 
     async def run():
-        client = AsyncServingClient(engine, max_batch=64, linger_s=0.3)
+        client = AsyncServingClient(registry, max_batch=64, linger_s=0.3)
         tasks = [asyncio.ensure_future(client.classify(query)) for query in queries]
         await asyncio.sleep(0.02)
         await client.aclose(drain=False)
@@ -200,13 +201,13 @@ def test_non_drain_shutdown_fails_pending_futures(snapshot, engine):
     assert outcomes and all(isinstance(outcome, FrontendClosedError) for outcome in outcomes)
 
 
-def test_adaptive_budget_tracks_arrival_rate(snapshot, engine):
+def test_adaptive_budget_tracks_arrival_rate(snapshot, registry):
     """Open-loop load at two rates: light traffic earns deeper refinement."""
     _, dataset = snapshot
     tail = dataset.tail(240)
 
     async def run(speed):
-        async with AsyncServingClient(engine, max_batch=32, linger_s=0.002) as client:
+        async with AsyncServingClient(registry, max_batch=32, linger_s=0.002) as client:
             stream = DataStream(tail, arrival=PoissonArrival(rate=1.0), random_state=7)
             records = await drive_open_loop(
                 client, stream, speed=speed, limit=40, node_budget=ADAPTIVE
@@ -219,16 +220,16 @@ def test_adaptive_budget_tracks_arrival_rate(snapshot, engine):
     assert slow > burst, f"expected deeper refinement under light load ({slow} vs {burst})"
 
 
-def test_mixed_round_deadline_never_clamps_fixed_budgets(snapshot, engine):
+def test_mixed_round_deadline_never_clamps_fixed_budgets(snapshot, registry):
     """An adaptive request with a tight deadline must not touch the fixed
     budgets coalesced into the same round — their trace identity with the
-    direct engine call is part of the contract."""
+    direct registry call is part of the contract."""
     _, dataset = snapshot
     queries = dataset.features[240:252]
-    engine.predict_batch(queries, node_budget=8)  # calibrate the node cost
+    registry.predict_batch("default", queries, node_budget=8)  # calibrate the node cost
 
     async def run():
-        async with AsyncServingClient(engine, max_batch=64, linger_s=0.05) as client:
+        async with AsyncServingClient(registry, max_batch=64, linger_s=0.05) as client:
             fixed = [
                 asyncio.ensure_future(client.classify(query, node_budget=16))
                 for query in queries
@@ -241,17 +242,17 @@ def test_mixed_round_deadline_never_clamps_fixed_budgets(snapshot, engine):
             return results, detail
 
     results, detail = asyncio.run(run())
-    assert results == engine.predict_batch(queries, node_budget=16)
+    assert results == registry.predict_batch("default", queries, node_budget=16)
     assert detail.node_budget >= 1
 
 
-def test_adaptive_accepts_plain_string_budget(snapshot, engine):
+def test_adaptive_accepts_plain_string_budget(snapshot, registry):
     """A non-interned "adaptive" (e.g. parsed from JSON) means ADAPTIVE."""
     _, dataset = snapshot
     uninterned = "".join(["adap", "tive"])
 
     async def run():
-        async with AsyncServingClient(engine) as client:
+        async with AsyncServingClient(registry) as client:
             result = await client.classify(
                 dataset.features[240], node_budget=uninterned, detail=True
             )
@@ -263,25 +264,26 @@ def test_adaptive_accepts_plain_string_budget(snapshot, engine):
     assert result.node_budget >= 1
 
 
-def test_failed_rounds_do_not_pollute_node_cost(snapshot):
-    path, dataset = snapshot
+def test_failed_rounds_do_not_pollute_node_cost(snapshot, registry):
+    _, dataset = snapshot
     queries = dataset.features[240:248]
-    with ServingEngine(path, workers=0) as engine:
-        with pytest.raises(ValueError):
-            engine.predict_batch(queries, node_budget=np.asarray([1, 2]))
-        assert engine.node_cost_estimate() is None  # the failed round left no sample
-        engine.predict_batch(queries, node_budget=4)
-        assert engine.node_cost_estimate() is not None
+    with pytest.raises(ValueError):
+        registry.predict_batch("default", queries, node_budget=np.asarray([1, 2]))
+    with pytest.raises(ValueError):
+        registry.predict_batch("default", queries[:, :3], node_budget=4)
+    assert registry.node_cost_estimate() is None  # the failed rounds left no sample
+    registry.predict_batch("default", queries, node_budget=4)
+    assert registry.node_cost_estimate() is not None
 
 
-def test_classify_batch_admission_is_atomic(snapshot, engine):
+def test_classify_batch_admission_is_atomic(snapshot, registry):
     """Two racing blocks that fit alone but not together: one is admitted
     whole, the other rejected whole — no partially-enqueued block."""
     _, dataset = snapshot
     queries = dataset.features[240:256]
 
     async def run():
-        client = AsyncServingClient(engine, max_pending=10, max_batch=64, linger_s=0.2)
+        client = AsyncServingClient(registry, max_pending=10, max_batch=64, linger_s=0.2)
         first = asyncio.ensure_future(client.classify_batch(queries[:8], node_budget=4))
         second = asyncio.ensure_future(client.classify_batch(queries[8:], node_budget=4))
         outcomes = await asyncio.gather(first, second, return_exceptions=True)
@@ -292,14 +294,14 @@ def test_classify_batch_admission_is_atomic(snapshot, engine):
     rejected = [outcome for outcome in outcomes if isinstance(outcome, QueueFullError)]
     served = [outcome for outcome in outcomes if isinstance(outcome, list)]
     assert len(rejected) == 1 and len(served) == 1
-    assert served[0] == engine.predict_batch(queries[:8], node_budget=4)
+    assert served[0] == registry.predict_batch("default", queries[:8], node_budget=4)
 
 
-def test_validation_errors(snapshot, engine):
+def test_validation_errors(snapshot, registry):
     _, dataset = snapshot
 
     async def run():
-        async with AsyncServingClient(engine) as client:
+        async with AsyncServingClient(registry) as client:
             with pytest.raises(ValueError, match="features"):
                 await client.classify(dataset.features[:4])
             with pytest.raises(ValueError, match="queries"):
@@ -307,9 +309,9 @@ def test_validation_errors(snapshot, engine):
 
     asyncio.run(run())
     with pytest.raises(ValueError, match="max_pending"):
-        AsyncServingClient(engine, max_pending=0)
+        AsyncServingClient(registry, max_pending=0)
     with pytest.raises(ValueError, match="linger_s"):
-        AsyncServingClient(engine, linger_s=-1.0)
+        AsyncServingClient(registry, linger_s=-1.0)
 
 
 def test_arrival_rate_estimator_ewma():
@@ -335,7 +337,7 @@ def test_adaptive_budget_policy_clamps():
     assert policy.budget(mean_gap_s=1.0) == 32  # 500 affordable -> clamped
     assert policy.budget(mean_gap_s=0.0) == 2  # burst -> floor
     assert policy.budget(mean_gap_s=0.02) == 10
-    # The engine's calibrated cost wins over the static fallback.
+    # The registry's calibrated cost wins over the static fallback.
     assert policy.budget(mean_gap_s=0.02, node_cost_hint=2e-3) == 5
     with pytest.raises(ValueError):
         AdaptiveBudgetPolicy(min_budget=0)
@@ -345,19 +347,16 @@ def test_adaptive_budget_policy_clamps():
         AdaptiveBudgetPolicy(utilisation=1.5)
 
 
-def test_engine_calibrates_node_cost_and_clamps_on_deadline(snapshot):
+def test_budgeted_rounds_calibrate_node_cost(snapshot, registry):
     path, dataset = snapshot
     queries = dataset.features[240:256]
-    with ServingEngine(path, workers=0) as engine:
-        assert engine.node_cost_estimate() is None
-        engine.predict_batch(queries, node_budget=8)
-        cost = engine.node_cost_estimate()
-        assert cost is not None and cost > 0
-        # A zero deadline clamps any budget down to a single node read.
-        clamped = engine.predict_batch(queries, node_budget=500, deadline_s=0.0)
-        assert clamped == engine.predict_batch(queries, node_budget=1)
-        snapshot_stats = engine.stats_snapshot()
-        assert snapshot_stats["batches"] == 3
-        assert snapshot_stats["last_round_s"] > 0
-        assert snapshot_stats["node_cost_s"] == engine.node_cost_estimate()
-        assert snapshot_stats["snapshot_path"] == str(path)
+    assert registry.node_cost_estimate() is None
+    registry.predict_batch("default", queries)  # full refinement leaves no sample
+    assert registry.node_cost_estimate() is None
+    registry.predict_batch("default", queries, node_budget=8)
+    cost = registry.node_cost_estimate()
+    assert cost is not None and cost > 0
+    snapshot_stats = registry.stats_snapshot()
+    assert snapshot_stats["counters"]["batches"] == 2
+    assert snapshot_stats["node_cost_s"] == registry.node_cost_estimate()
+    assert snapshot_stats["tenants"]["default"]["snapshot_path"] == str(path)

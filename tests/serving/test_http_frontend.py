@@ -13,7 +13,8 @@ import pytest
 from repro.core import AnytimeBayesClassifier
 from repro.data import make_dataset
 from repro.persist import load_forest, save_forest
-from repro.serving import AsyncServingClient, HttpFrontend, ServingEngine
+from repro.serving import AsyncServingClient, HttpFrontend, ModelRegistry
+from repro.serving import frontend as frontend_module
 
 
 @pytest.fixture(scope="module")
@@ -55,14 +56,16 @@ async def _request(host, port, method, path, payload=None, extra_headers=()):
 
 
 def _serve(snapshot_path, coroutine_factory, **client_kwargs):
-    """Run a coroutine against a started engine + client + HTTP front-end."""
+    """Run a coroutine against a one-tenant registry + client + HTTP front-end."""
+    client_kwargs.setdefault("linger_s", 0.001)
 
     async def main():
-        with ServingEngine(snapshot_path, workers=0, linger_s=0.001) as engine:
-            async with AsyncServingClient(engine, **client_kwargs) as client:
+        with ModelRegistry(capacity=1, workers=0) as registry:
+            registry.load("default", snapshot_path)
+            async with AsyncServingClient(registry, **client_kwargs) as client:
                 async with HttpFrontend(client) as http:
                     host, port = http.address
-                    return await coroutine_factory(engine, client, host, port)
+                    return await coroutine_factory(registry, client, host, port)
 
     return asyncio.run(main())
 
@@ -70,16 +73,16 @@ def _serve(snapshot_path, coroutine_factory, **client_kwargs):
 def test_healthz_and_stats(snapshot):
     path, _ = snapshot
 
-    async def scenario(engine, client, host, port):
+    async def scenario(registry, client, host, port):
         health = await _request(host, port, "GET", "/healthz")
         stats = await _request(host, port, "GET", "/stats")
         return health, stats
 
     (health_status, health), (stats_status, stats) = _serve(path, scenario)
-    assert health_status == 200 and health["status"] == "ok"
-    assert health["snapshot_path"] == str(path)
+    assert health_status == 200 and health == {"status": "ok", "tenants": 1}
     assert stats_status == 200
-    assert stats["engine"]["snapshot_path"] == str(path)
+    assert stats["schema_version"] == 4 and "engine" not in stats
+    assert stats["registry"]["tenants"]["default"]["snapshot_path"] == str(path)
     assert stats["frontend"]["queue_depth"] == 0
     assert "arrival" in stats["frontend"]
 
@@ -88,7 +91,7 @@ def test_classify_routes_match_direct_engine(snapshot):
     path, dataset = snapshot
     queries = dataset.features[220:236]
 
-    async def scenario(engine, client, host, port):
+    async def scenario(registry, client, host, port):
         single = await _request(
             host, port, "POST", "/classify",
             {"features": queries[0].tolist(), "node_budget": 6},
@@ -102,8 +105,8 @@ def test_classify_routes_match_direct_engine(snapshot):
             host, port, "POST", "/classify",
             {"features": queries[0].tolist(), "node_budget": "adaptive"},
         )
-        direct_fixed = engine.predict_batch(queries, node_budget=6)
-        direct_full = engine.predict_batch(queries[:1])
+        direct_fixed = registry.predict_batch("default", queries, node_budget=6)
+        direct_full = registry.predict_batch("default", queries[:1])
         return single, batch, full, adaptive, direct_fixed, direct_full
 
     single, batch, full, adaptive, direct_fixed, direct_full = _serve(path, scenario)
@@ -119,7 +122,7 @@ def test_classify_routes_match_direct_engine(snapshot):
 def test_error_codes(snapshot):
     path, dataset = snapshot
 
-    async def scenario(engine, client, host, port):
+    async def scenario(registry, client, host, port):
         not_found = await _request(host, port, "GET", "/nope")
         bad_json = await _request(host, port, "POST", "/classify")
         bad_budget = await _request(
@@ -152,7 +155,7 @@ def test_malformed_framing_gets_a_400_response(snapshot):
     """Unparseable requests must be answered on the wire, not just dropped."""
     path, _ = snapshot
 
-    async def scenario(engine, client, host, port):
+    async def scenario(registry, client, host, port):
         async def raw(request: bytes) -> int:
             reader, writer = await asyncio.open_connection(host, port)
             try:
@@ -180,7 +183,7 @@ def test_queue_full_maps_to_503(snapshot):
     path, dataset = snapshot
     queries = dataset.features[220:228]
 
-    async def scenario(engine, client, host, port):
+    async def scenario(registry, client, host, port):
         # Park enough requests to fill the bounded queue during the linger.
         tasks = [asyncio.ensure_future(client.classify(query)) for query in queries[:3]]
         await asyncio.sleep(0.02)
@@ -207,7 +210,7 @@ def test_swap_endpoint_switches_snapshots(snapshot, tmp_path):
     swapped_path = tmp_path / "swapped.npz"
     save_forest(classifier, swapped_path)
 
-    async def scenario(engine, client, host, port):
+    async def scenario(registry, client, host, port):
         before = await _request(
             host, port, "POST", "/classify_batch", {"features": queries.tolist()}
         )
@@ -220,21 +223,21 @@ def test_swap_endpoint_switches_snapshots(snapshot, tmp_path):
         bad_swap = await _request(
             host, port, "POST", "/swap", {"snapshot_path": str(tmp_path / "missing.npz")}
         )
-        return before, swap, after, bad_swap, engine.stats.swaps
+        return before, swap, after, bad_swap, registry.stats.swaps
 
     before, swap, after, bad_swap, swaps = _serve(path, scenario)
     assert before[0] == 200 and before[1]["predictions"] == load_forest(path).predict_batch(queries)
     assert swap[0] == 200 and swap[1]["snapshot_path"] == str(swapped_path)
     assert after[0] == 200
     assert after[1]["predictions"] == load_forest(swapped_path).predict_batch(queries)
-    assert bad_swap[0] in (400, 500)  # engine-side validation failure surfaces as an error
+    assert bad_swap[0] in (400, 500)  # registry-side validation failure surfaces as an error
     assert swaps == 1
 
 
 def test_keep_alive_serves_sequential_requests(snapshot):
     path, dataset = snapshot
 
-    async def scenario(engine, client, host, port):
+    async def scenario(registry, client, host, port):
         reader, writer = await asyncio.open_connection(host, port)
         try:
             statuses = []
@@ -257,3 +260,39 @@ def test_keep_alive_serves_sequential_requests(snapshot):
             await writer.wait_closed()
 
     assert _serve(path, scenario) == [200, 200, 200]
+
+
+def test_stalled_request_gets_a_408_and_a_closed_connection(snapshot, monkeypatch):
+    """A client that sends a request line and then stalls must not pin the
+    connection: the headers and body are read under one deadline."""
+    path, _ = snapshot
+    monkeypatch.setattr(frontend_module, "_REQUEST_READ_TIMEOUT_S", 0.2)
+
+    async def scenario(registry, client, host, port):
+        reader, writer = await asyncio.open_connection(host, port)
+        try:
+            writer.write(b"POST /classify HTTP/1.1\r\nContent-Length: 40\r\n")
+            await writer.drain()  # ...and never finish the headers
+            status_line = await asyncio.wait_for(reader.readline(), 10.0)
+            headers = {}
+            while True:
+                line = await reader.readline()
+                if line in (b"\r\n", b"\n", b""):
+                    break
+                name, _, value = line.decode("latin-1").partition(":")
+                headers[name.strip().lower()] = value.strip()
+            content = await reader.readexactly(int(headers["content-length"]))
+            trailing = await asyncio.wait_for(reader.read(), 10.0)
+            return int(status_line.split()[1]), headers, json.loads(content), trailing
+        finally:
+            writer.close()
+            try:
+                await writer.wait_closed()
+            except (ConnectionResetError, BrokenPipeError):
+                pass
+
+    status, headers, body, trailing = _serve(path, scenario)
+    assert status == 408
+    assert body["error"]["code"] == "request_timeout"
+    assert headers["connection"] == "close"
+    assert trailing == b""  # the server closed the connection

@@ -18,7 +18,6 @@ from repro.serving import (
     AsyncServingClient,
     HttpFrontend,
     ModelRegistry,
-    ServingEngine,
     TenantPolicy,
 )
 
@@ -64,32 +63,16 @@ async def _request(host, port, method, path, payload=None):
     return status, json.loads(content)
 
 
-def _serve_engine(snapshot_path, coroutine_factory, **client_kwargs):
-    """Engine-backed default tenant (the pre-v1 deployment shape)."""
+def _serve(snapshot_path, coroutine_factory, capacity=1, policy=None, **client_kwargs):
+    """A registry serving ``default`` (capacity 1: a single-model deployment)."""
+    client_kwargs.setdefault("linger_s", 0.001)
 
     async def main():
-        with ServingEngine(snapshot_path, workers=0, linger_s=0.001) as engine:
-            async with AsyncServingClient(engine, **client_kwargs) as client:
-                async with HttpFrontend(client) as http:
-                    return await coroutine_factory(engine, client, *http.address)
-
-    return asyncio.run(main())
-
-
-def _serve_registry(snapshot_path, coroutine_factory, **registry_kwargs):
-    """Registry-only deployment: every tenant (default included) via registry."""
-
-    async def main():
-        registry = ModelRegistry(**registry_kwargs)
-        try:
-            registry.load("default", snapshot_path)
-            async with AsyncServingClient(
-                registry=registry, linger_s=0.001
-            ) as client:
+        with ModelRegistry(capacity=capacity, workers=0) as registry:
+            registry.load("default", snapshot_path, policy=policy)
+            async with AsyncServingClient(registry, **client_kwargs) as client:
                 async with HttpFrontend(client) as http:
                     return await coroutine_factory(registry, client, *http.address)
-        finally:
-            registry.close()
 
     return asyncio.run(main())
 
@@ -98,7 +81,7 @@ def test_legacy_aliases_are_byte_identical_to_v1(snapshot):
     path, dataset = snapshot
     queries = dataset.features[220:236]
 
-    async def scenario(engine, client, host, port):
+    async def scenario(registry, client, host, port):
         body = {"features": queries.tolist(), "node_budget": 6}
         legacy = await _raw_request(host, port, "POST", "/classify_batch", body)
         versioned = await _raw_request(
@@ -113,7 +96,7 @@ def test_legacy_aliases_are_byte_identical_to_v1(snapshot):
         )
         return legacy, versioned, full_legacy, full_versioned
 
-    legacy, versioned, full_legacy, full_versioned = _serve_engine(path, scenario)
+    legacy, versioned, full_legacy, full_versioned = _serve(path, scenario)
     assert legacy[0] == versioned[0] == 200
     assert legacy[2] == versioned[2]  # byte-identical payloads
     assert full_legacy[2] == full_versioned[2]
@@ -132,7 +115,7 @@ def test_registry_only_default_tenant_aliases(snapshot):
         health = await _request(host, port, "GET", "/healthz")
         return legacy, versioned, health
 
-    legacy, versioned, health = _serve_registry(path, scenario, capacity=2)
+    legacy, versioned, health = _serve(path, scenario, capacity=2)
     assert legacy[0] == versioned[0] == 200
     assert legacy[2] == versioned[2]
     assert health[0] == 200 and health[1]["tenants"] == 1
@@ -154,7 +137,7 @@ def test_v1_classify_routes_to_the_named_tenant(snapshot):
         )
         return single, direct, unknown
 
-    single, direct, unknown = _serve_registry(path, scenario, capacity=2)
+    single, direct, unknown = _serve(path, scenario, capacity=2)
     assert single[0] == 200 and single[1]["prediction"] == direct[0]
     assert unknown[0] == 404
     assert unknown[1]["error"]["code"] == "tenant_not_found"
@@ -181,7 +164,7 @@ def test_v1_registry_load_evict_and_stats(snapshot):
         relisted = await _request(host, port, "GET", "/v1/registry")
         return loaded, listing, served, tenant_stats, evicted, relisted
 
-    loaded, listing, served, tenant_stats, evicted, relisted = _serve_registry(
+    loaded, listing, served, tenant_stats, evicted, relisted = _serve(
         path, scenario, capacity=4
     )
     assert loaded[0] == 200 and loaded[1]["resident"] is True
@@ -212,7 +195,7 @@ def test_v1_swap_loads_tenant_snapshot(snapshot, tmp_path):
         )
         return swap, served
 
-    swap, served = _serve_registry(path, scenario, capacity=4)
+    swap, served = _serve(path, scenario, capacity=4)
     assert swap[0] == 200
     assert swap[1] == {"swapped": True, "tenant": "acme", "snapshot_path": str(other)}
     assert served[0] == 200
@@ -222,7 +205,7 @@ def test_every_503_carries_retry_after(snapshot):
     path, dataset = snapshot
     queries = dataset.features[220:228]
 
-    async def scenario(engine, client, host, port):
+    async def scenario(registry, client, host, port):
         tasks = [asyncio.ensure_future(client.classify(query)) for query in queries[:3]]
         await asyncio.sleep(0.02)
         rejected = await _raw_request(
@@ -231,7 +214,7 @@ def test_every_503_carries_retry_after(snapshot):
         await asyncio.gather(*tasks)
         return rejected
 
-    status, headers, content = _serve_engine(
+    status, headers, content = _serve(
         path, scenario, max_pending=3, linger_s=0.3
     )
     assert status == 503
@@ -245,7 +228,7 @@ def test_quota_breach_is_an_enveloped_429_with_retry_after(snapshot):
     path, dataset = snapshot
     queries = dataset.features[220:228]
 
-    async def scenario(engine, client, host, port):
+    async def scenario(registry, client, host, port):
         # Burst of 2 (rate 2/s): two instant requests pass, the third trips
         # the tenant's requests_per_sec quota.
         first = await _request(host, port, "POST", "/classify", {"features": queries[0].tolist()})
@@ -255,10 +238,10 @@ def test_quota_breach_is_an_enveloped_429_with_retry_after(snapshot):
         )
         return first, second, breach
 
-    first, second, (status, headers, content) = _serve_engine(
+    first, second, (status, headers, content) = _serve(
         path,
         scenario,
-        tenant_policies={"default": TenantPolicy(requests_per_sec=2.0)},
+        policy=TenantPolicy(requests_per_sec=2.0),
     )
     assert first[0] == 200 and second[0] == 200
     assert status == 429
@@ -274,7 +257,7 @@ def test_tenant_queue_depth_bound_is_a_per_tenant_503(snapshot):
     path, dataset = snapshot
     queries = dataset.features[220:228]
 
-    async def scenario(engine, client, host, port):
+    async def scenario(registry, client, host, port):
         # Long linger parks the first two requests in the tenant queue; the
         # third breaches max_queue_depth=2 while the global bound (1024) is
         # nowhere near full.
@@ -286,11 +269,11 @@ def test_tenant_queue_depth_bound_is_a_per_tenant_503(snapshot):
         await asyncio.gather(*tasks)
         return rejected
 
-    status, headers, content = _serve_engine(
+    status, headers, content = _serve(
         path,
         scenario,
         linger_s=0.3,
-        tenant_policies={"default": TenantPolicy(max_queue_depth=2)},
+        policy=TenantPolicy(max_queue_depth=2),
     )
     assert status == 503
     assert "retry-after" in headers
@@ -304,7 +287,7 @@ def test_legacy_aliases_stay_byte_identical_under_admission_policies(snapshot):
     path, dataset = snapshot
     queries = dataset.features[220:236]
 
-    async def scenario(engine, client, host, port):
+    async def scenario(registry, client, host, port):
         body = {"features": queries.tolist(), "node_budget": 6}
         legacy = await _raw_request(host, port, "POST", "/classify_batch", body)
         versioned = await _raw_request(
@@ -312,12 +295,10 @@ def test_legacy_aliases_stay_byte_identical_under_admission_policies(snapshot):
         )
         return legacy, versioned
 
-    legacy, versioned = _serve_engine(
+    legacy, versioned = _serve(
         path,
         scenario,
-        tenant_policies={
-            "default": TenantPolicy(weight=2.0, max_queue_depth=512, requests_per_sec=10_000.0)
-        },
+        policy=TenantPolicy(weight=2.0, max_queue_depth=512, requests_per_sec=10_000.0),
     )
     assert legacy[0] == versioned[0] == 200
     assert legacy[2] == versioned[2]
@@ -336,7 +317,7 @@ def test_tenant_stats_nest_the_admission_view(snapshot):
         merged = await _request(host, port, "GET", "/stats")
         return stats, merged
 
-    stats, merged = _serve_registry(path, scenario, capacity=2)
+    stats, merged = _serve(path, scenario, capacity=2)
     assert stats[0] == 200
     admission = stats[1]["admission"]
     assert admission["granted"] == len(queries)
@@ -346,7 +327,7 @@ def test_tenant_stats_nest_the_admission_view(snapshot):
         "max_queue_depth": None,
         "requests_per_sec": None,
     }
-    assert merged[0] == 200 and merged[1]["schema_version"] == 3
+    assert merged[0] == 200 and merged[1]["schema_version"] == 4
     frontend = merged[1]["frontend"]
     assert frontend["rejected_quota"] == 0
     assert frontend["admission"]["tenants"]["default"]["granted"] == len(queries)
@@ -355,16 +336,16 @@ def test_tenant_stats_nest_the_admission_view(snapshot):
 def test_error_envelope_shape_is_uniform(snapshot):
     path, dataset = snapshot
 
-    async def scenario(engine, client, host, port):
+    async def scenario(registry, client, host, port):
         not_found = await _request(host, port, "GET", "/v1/tenants/a")  # malformed route
         bad_json_raw = await _raw_request(host, port, "POST", "/v1/tenants/default/classify")
-        no_registry = await _request(host, port, "GET", "/v1/registry")
-        return not_found, bad_json_raw, no_registry
+        no_route = await _request(host, port, "GET", "/v1/registry/load")
+        return not_found, bad_json_raw, no_route
 
-    not_found, bad_json_raw, no_registry = _serve_engine(path, scenario)
+    not_found, bad_json_raw, no_route = _serve(path, scenario)
     assert not_found[0] == 404 and not_found[1]["error"]["code"] == "not_found"
     status, _, content = bad_json_raw
     assert status == 400
     envelope = json.loads(content)["error"]
     assert envelope["code"] == "bad_request" and envelope["message"]
-    assert no_registry[0] == 404 and no_registry[1]["error"]["code"] == "not_found"
+    assert no_route[0] == 404 and no_route[1]["error"]["code"] == "not_found"

@@ -1,18 +1,19 @@
-"""Zero-copy serving: shared-memory workers, LPT packing, segment lifecycle.
+"""Zero-copy serving: shared-memory pool workers and the segment lifecycle.
 
-Pins ISSUE 6's serving layer: shard workers attaching to one shared-memory
-segment serve predictions bit-identical to the legacy per-worker object
-loading, the LPT shard planner balances per-class kernel counts, snapshots
-without flat members are compiled on the fly (construction and hot swap),
-and the segment is unlinked exactly once — on engine close, after a swap,
-and even when a worker has been killed.
+Pool workers of a :class:`~repro.serving.ModelRegistry` attach to one
+shared-memory segment per tenant and serve predictions bit-identical to the
+in-process classifier; snapshots without flat members are compiled on the fly
+(on load and on swap); the per-tenant stats report the segment and the forest
+structure; and the segment is unlinked exactly once — on close, after a
+swap, and even when a pool worker has been killed.
 """
 
+import multiprocessing
 import os
 import signal
 import time
 # The crash/lifecycle tests below must attach to segments *raw* (bypassing
-# attach_columns) to prove that worker death never unlinks the engine's
+# attach_columns) to prove that worker death never unlinks the registry's
 # segment — exactly the misuse RL003 exists to keep out of src/.
 from multiprocessing import shared_memory  # reprolint: disable=RL003 -- lifecycle test needs raw attach
 
@@ -22,7 +23,7 @@ import pytest
 from repro.core import AnytimeBayesClassifier, BayesTreeConfig
 from repro.data import make_dataset
 from repro.persist import load_forest, save_forest
-from repro.serving import ServingEngine, plan_shard_assignment
+from repro.serving import ModelRegistry
 
 
 @pytest.fixture(scope="module")
@@ -50,110 +51,63 @@ def _segment_is_gone(name):
     return False
 
 
-# -- shard planning -------------------------------------------------------------------------
-def test_lpt_assignment_balances_loads():
-    counts = [100, 1, 1, 1, 97, 1, 1, 96]
-    bins = plan_shard_assignment(counts, 3)
-    assert sorted(index for contents in bins for index in contents) == list(
-        range(len(counts))
-    )
-    loads = [sum(counts[i] for i in contents) for contents in bins]
-    # Round-robin strides would put 100+1+1 / 1+97+1 / 1+1+96 — fine here, but
-    # with the heavy classes adjacent it skews badly; LPT keeps the spread
-    # within the lightest class regardless of input order.
-    assert max(loads) - min(loads) <= max(1, min(c for c in counts))
-    heavy_shards = {
-        next(s for s, contents in enumerate(bins) if i in contents)
-        for i, count in enumerate(counts)
-        if count > 90
-    }
-    assert len(heavy_shards) == 3  # one heavy class per shard
-    for contents in bins:
-        assert contents == sorted(contents)
+def _single_model(path, workers):
+    registry = ModelRegistry(capacity=1, workers=workers)
+    registry.load("default", path)
+    return registry
 
 
-def test_lpt_assignment_is_deterministic_and_total():
-    counts = [5, 5, 5, 5]
-    assert plan_shard_assignment(counts, 2) == plan_shard_assignment(counts, 2)
-    # More shards than classes leaves trailing shards empty but loses nothing.
-    bins = plan_shard_assignment([3, 2], 4)
-    assert sorted(index for contents in bins for index in contents) == [0, 1]
-    with pytest.raises(ValueError):
-        plan_shard_assignment([1], 0)
-
-
-def test_engine_assignment_covers_all_labels(snapshot):
-    path, _, _ = snapshot
-    with ServingEngine(path, workers=2) as engine:
-        packed = engine.shard_assignment
-        assert len(packed) == engine.n_shards
-        flattened = [label for shard in packed for label in shard]
-        assert sorted(flattened, key=repr) == engine.labels
+def _child_pids():
+    """Live child processes of this test process (pool workers among them)."""
+    return [child.pid for child in multiprocessing.active_children()]
 
 
 # -- zero-copy serving ----------------------------------------------------------------------
-def test_zero_copy_predictions_match_object_workers(snapshot):
-    path, _, queries = snapshot
-    local = load_forest(path)
-    expected_full = local.predict_batch(queries)
-    expected_budget = local.predict_batch(queries, node_budget=8)
-    with ServingEngine(path, workers=2) as engine:
-        assert engine.zero_copy
-        assert engine.predict_batch(queries) == expected_full
-        assert engine.predict_batch(queries, node_budget=8) == expected_budget
-    with ServingEngine(path, workers=2, zero_copy=False) as engine:
-        assert not engine.zero_copy
-        assert engine.predict_batch(queries) == expected_full
-        assert engine.predict_batch(queries, node_budget=8) == expected_budget
-
-
 def test_zero_copy_fallback_serves_identically(snapshot):
     path, _, queries = snapshot
     local = load_forest(path)
-    with ServingEngine(path, workers=0) as engine:
-        assert not engine.is_multiprocess
-        assert engine.predict_batch(queries) == local.predict_batch(queries)
-        stats = engine.stats_snapshot()
-        assert stats["mode"] == "zero_copy"
-        assert stats["shm_name"] is None  # no workers → no segment
+    with _single_model(path, workers=0) as registry:
+        assert registry.stats_snapshot()["workers"] == 0
+        assert registry.predict_batch("default", queries) == local.predict_batch(queries)
+        stats = registry.tenant_stats("default")
+        # In-process serving wraps the same shared segment the pool would use.
+        assert stats["shm_name"] and stats["shm_bytes"] > 0
         assert stats["structure"]["total_kernels"] > 0
 
 
-def test_stats_report_segment_warm_start_and_memory(snapshot):
+def test_tenant_stats_report_segment_and_structure(snapshot):
     path, _, queries = snapshot
-    with ServingEngine(path, workers=2) as engine:
-        engine.predict_batch(queries[:8])
-        stats = engine.stats_snapshot()
-        assert stats["mode"] == "zero_copy"
+    labels = load_forest(path).classes
+    with _single_model(path, workers=2) as registry:
+        registry.predict_batch("default", queries[:8])
+        stats = registry.tenant_stats("default")
         assert stats["shm_name"] and stats["shm_bytes"] > 0
-        assert stats["warm_start_ms"] > 0
-        assert len(stats["workers"]) == 2
-        for profile in stats["workers"]:
-            assert profile["mode"] == "flat"
-            assert profile["warm_start_ms"] > 0
-            assert profile["rss_kb"] > 0
-            assert profile["shared_kb"] > 0
-        assert len(stats["shard_classes"]) == 2
         structure = stats["structure"]
-        assert structure["n_classes"] == len(engine.labels)
+        assert structure["n_classes"] == len(labels)
         assert structure["total_kernels"] > 0
         for per_class in structure["classes"].values():
             assert sum(per_class["depth_profile"]) == per_class["n_kernels"]
+        # Computed on request from the resident forest, never stored: the
+        # registry-wide snapshot does not carry it, and a non-resident
+        # tenant has none.
+        assert "structure" not in registry.stats_snapshot()["tenants"]["default"]
+        registry.evict("default")
+        assert registry.tenant_stats("default")["structure"] is None
 
 
 # -- segment lifecycle ----------------------------------------------------------------------
 def test_segment_is_unlinked_on_close(snapshot):
     path, _, queries = snapshot
-    engine = ServingEngine(path, workers=2)
+    registry = _single_model(path, workers=2)
     try:
-        name = engine.stats_snapshot()["shm_name"]
+        name = registry.tenant_stats("default")["shm_name"]
         assert name is not None
         assert not _segment_is_gone(name)
-        assert engine.predict_batch(queries[:4])
+        assert registry.predict_batch("default", queries[:4])
     finally:
-        engine.close()
+        registry.close()
     assert _segment_is_gone(name)
-    engine.close()  # idempotent
+    registry.close()  # idempotent
 
 
 def test_swap_replaces_segment_and_unlinks_old(snapshot, tmp_path):
@@ -164,25 +118,29 @@ def test_swap_replaces_segment_and_unlinks_old(snapshot, tmp_path):
         retrained.partial_fit(dataset.features[i], dataset.labels[i], timestamp=float(i))
     new_path = tmp_path / "retrained.npz"
     save_forest(retrained, new_path)
-    with ServingEngine(path, workers=2) as engine:
-        old_name = engine.stats_snapshot()["shm_name"]
-        engine.swap_snapshot(new_path)
-        stats = engine.stats_snapshot()
-        assert stats["swaps"] == 1
+    with _single_model(path, workers=2) as registry:
+        old_name = registry.tenant_stats("default")["shm_name"]
+        registry.load("default", new_path)
+        stats = registry.tenant_stats("default")
+        assert registry.stats.swaps == 1
         assert stats["shm_name"] != old_name
         assert _segment_is_gone(old_name)
         assert not _segment_is_gone(stats["shm_name"])
-        assert engine.predict_batch(queries) == retrained.predict_batch(queries)
+        assert registry.predict_batch("default", queries) == retrained.predict_batch(queries)
     assert _segment_is_gone(stats["shm_name"])
 
 
 def test_worker_crash_does_not_leak_the_segment(snapshot):
     path, _, queries = snapshot
-    engine = ServingEngine(path, workers=2)
+    before = set(_child_pids())
+    registry = _single_model(path, workers=2)
     try:
-        stats = engine.stats_snapshot()
-        name = stats["shm_name"]
-        victim = stats["workers"][0]["pid"]
+        # Serve a round so every pool worker has attached the segment.
+        assert registry.predict_batch("default", queries) == load_forest(path).predict_batch(
+            queries
+        )
+        name = registry.tenant_stats("default")["shm_name"]
+        victim = next(pid for pid in _child_pids() if pid not in before)
         os.kill(victim, signal.SIGKILL)
         deadline = time.monotonic() + 10.0
         while time.monotonic() < deadline:
@@ -192,22 +150,21 @@ def test_worker_crash_does_not_leak_the_segment(snapshot):
                 break
             time.sleep(0.05)
     finally:
-        engine.close()
-    # The dead worker never ran cleanup, yet the engine-owned unlink happened
-    # exactly once — the name is free and nothing spammed the resource tracker.
+        registry.close()
+    # The dead worker never ran cleanup, yet the registry-owned unlink
+    # happened exactly once — the name is free and nothing spammed the
+    # resource tracker.
     assert _segment_is_gone(name)
 
 
-# -- compile-on-demand for legacy snapshots -------------------------------------------------
+# -- compile-on-demand for snapshots without flat members -----------------------------------
 def test_snapshot_without_flat_members_is_compiled_engine_side(snapshot):
     path, legacy, queries = snapshot
     local = load_forest(path)
-    with ServingEngine(legacy, workers=2) as engine:
-        stats = engine.stats_snapshot()
-        assert stats["mode"] == "zero_copy"
-        assert stats["shm_name"] is not None
-        assert engine.predict_batch(queries) == local.predict_batch(queries)
-        assert engine.predict_batch(queries, node_budget=8) == local.predict_batch(
+    with _single_model(legacy, workers=2) as registry:
+        assert registry.tenant_stats("default")["shm_name"] is not None
+        assert registry.predict_batch("default", queries) == local.predict_batch(queries)
+        assert registry.predict_batch("default", queries, node_budget=8) == local.predict_batch(
             queries, node_budget=8
         )
 
@@ -215,8 +172,9 @@ def test_snapshot_without_flat_members_is_compiled_engine_side(snapshot):
 def test_swap_to_legacy_snapshot_compiles_on_swap(snapshot):
     path, legacy, queries = snapshot
     local = load_forest(path)
-    with ServingEngine(path, workers=2) as engine:
-        engine.swap_snapshot(legacy)
-        assert engine.snapshot_path == str(legacy)
-        assert engine.stats_snapshot()["shm_name"] is not None
-        assert engine.predict_batch(queries) == local.predict_batch(queries)
+    with _single_model(path, workers=2) as registry:
+        registry.load("default", legacy)
+        stats = registry.tenant_stats("default")
+        assert stats["snapshot_path"] == str(legacy)
+        assert stats["shm_name"] is not None
+        assert registry.predict_batch("default", queries) == local.predict_batch(queries)
